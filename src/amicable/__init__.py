@@ -50,6 +50,7 @@ from .errors import (
     LimitTooLarge,
     ToolkitError,
     UnsupportedFormat,
+    VerificationFailed,
     ZeroInput,
 )
 from .generators import (

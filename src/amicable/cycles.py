@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .divisor import aliquot_s, build_sieve
-from .errors import BadParameter
+from .errors import BadParameter, VerificationFailed
 
 
 class AliquotOutcome(str, Enum):
@@ -127,9 +127,10 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     """Sociable cycles reachable from starts up to `limit` within `max_len` steps.
 
     Trajectory values are allowed to wander up to 64 * limit before a start is
-    abandoned. Each cycle is reported once, rotated so its minimum comes
-    first, and re-verified through `verify_cycle`. Output is sorted, hence
-    deterministic.
+    abandoned. Values beyond the sieve come from `SieveTable.s`. Each cycle is
+    reported once, rotated so its minimum comes first, and re-verified through
+    `verify_cycle`, raising VerificationFailed if that fails. Output is
+    sorted, hence deterministic.
     """
     if limit < 2:
         raise BadParameter("cycle search limit must be at least 2")
@@ -138,18 +139,17 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
 
     table = build_sieve(limit)
     s_values = table.s_values
+    lookup = table.s
     bound = 64 * limit
-
-    def step(v: int) -> int:
-        return s_values[v] if v <= limit else aliquot_s(v)
 
     found: set[tuple[int, ...]] = set()
     for start in range(2, limit + 1):
         path = [start]
         index = {start: 0}
+        current = start
         for _ in range(max_len):
-            nxt = step(path[-1])
-            if nxt == path[-1] or nxt == 0 or nxt > bound:
+            nxt = s_values[current] if current <= limit else lookup(current, aliquot_s)
+            if nxt == current or nxt == 0 or nxt > bound:
                 break
             if nxt in index:
                 cycle = path[index[nxt]:]
@@ -158,10 +158,12 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
                 break
             index[nxt] = len(path)
             path.append(nxt)
+            current = nxt
 
     cycles = []
     for members in sorted(found):
         check = verify_cycle(members)
-        assert check.ok, f"cycle {members} failed re-verification: {check.failure}"
+        if not check.ok:
+            raise VerificationFailed(f"cycle {members} failed re-verification: {check.failure}")
         cycles.append(SociableCycle(members, len(members)))
     return cycles

@@ -1,21 +1,27 @@
 """Divisor sums, the aliquot map, bulk sieving, and abundance classification.
 
-Two independent routes to the divisor sum are kept side by side on purpose:
-`sigma` multiplies geometric-series terms off the factorization, while
-`sigma_brute` enumerates divisors directly. Searches computed with the sieve
-re-verify their hits through the brute route, so a defect in one path cannot
-silently corrupt results.
+Three routes to the divisor sum are kept side by side on purpose: `sigma`
+multiplies geometric-series terms off the factorization, `sigma_brute`
+enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
+range by multiplying in sigma(p**e) for every prime power, since sigma is
+multiplicative. `SieveTable.s` extends a table past its limit by stripping
+small prime powers until the cofactor is tabulated or prime. Searches
+computed with the sieve re-verify their hits through the brute route, so a
+defect in one path cannot silently corrupt results.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from math import isqrt
+from operator import floordiv, mul, sub
 
 from .errors import BadParameter, LimitTooLarge, ZeroInput
-from .numeric import factorize
+from .numeric import _TRIAL_LIMIT, _TRIAL_PRIMES, _sieve_primes, factorize, is_prime
 
 __all__ = [
     "sigma",
@@ -82,6 +88,11 @@ def aliquot_s(n: int) -> int:
     return sigma(n) - n
 
 
+# Slots converted from sigma(n) to s(n) per slice, so the conversion never
+# holds a second copy of the whole table.
+_CHUNK = 1 << 16
+
+
 @dataclass
 class SieveTable:
     """Aliquot sums for every index up to `limit`; treat as read-only."""
@@ -89,13 +100,55 @@ class SieveTable:
     limit: int
     s_values: list[int]
 
+    def s(self, n: int, fallback: Callable[[int], int] = aliquot_s) -> int:
+        """s(n) for any n >= 0, equal to `aliquot_s(n)`.
+
+        Up to the limit this reads the table. Beyond it, prime powers p**e with
+        p < 1000 are divided out of n until the cofactor is tabulated or
+        proven prime; s(n) is then the product of their sigma values, times
+        the cofactor's, minus n. Only when neither happens (the cofactor has
+        two or more prime factors above 1000) is `fallback(n)` called; callers
+        pass their own `aliquot_s` name so that wrapping it sees these calls.
+        """
+        s_values = self.s_values
+        limit = self.limit
+        if n <= limit:
+            if n < 0:
+                raise BadParameter("s expects a nonnegative integer")
+            return s_values[n]
+        known = 1  # sigma of the prime powers divided out so far
+        rest = n
+        for p in _TRIAL_PRIMES:
+            if p * p > rest:
+                return known * (rest + 1) - n
+            if rest % p == 0:
+                rest //= p
+                term = p + 1
+                while rest % p == 0:
+                    rest //= p
+                    term = term * p + 1
+                known *= term
+                if rest <= limit:
+                    return known * (s_values[rest] + rest) - n
+        # rest has no prime factor below 1000, so below 1000**2 it is prime
+        if rest < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
+            return known * (rest + 1) - n
+        return fallback(n)
+
 
 def build_sieve(limit: int, budget: int | None = None) -> SieveTable:
-    """Tabulate s(n) for all n <= limit by one additive pass over divisors.
+    """Tabulate s(n) for all n <= limit with a multiplicative prime-power sieve.
 
-    For each d in 1..limit/2, d is added to the slot of every proper multiple
-    of d. Slots 0 and 1 stay 0. Raises LimitTooLarge when limit + 1 entries
-    exceed the budget (default 2**31, or the AMICABLE_SIEVE_BUDGET variable).
+    Every slot starts at 1. For each prime p and each power q = p**e <= limit,
+    the slots of all multiples of q are multiplied by sigma(p**e) and, when
+    e > 1, divided by sigma(p**(e-1)). A slot n with p**e exactly dividing it
+    is hit by the passes for p, ..., p**e in turn, so it ends up holding the
+    factor sigma(p**e); each division removes a factor the previous pass
+    multiplied in, so it is exact. Since sigma is multiplicative, slot n then
+    holds sigma(n), and n is subtracted slice by slice. Slots 0 and 1 hold 0.
+    The slice arithmetic runs inside `map`, not in a Python-level loop.
+    Raises LimitTooLarge when limit + 1 entries exceed the budget (default
+    2**31, or the AMICABLE_SIEVE_BUDGET variable).
     """
     if limit < 1:
         raise BadParameter("sieve limit must be at least 1")
@@ -106,11 +159,20 @@ def build_sieve(limit: int, budget: int | None = None) -> SieveTable:
         raise LimitTooLarge(
             f"sieve of {limit + 1} entries exceeds the budget of {budget}"
         )
-    s_values = [0] * (limit + 1)
-    for d in range(1, limit // 2 + 1):
-        for multiple in range(2 * d, limit + 1, d):
-            s_values[multiple] += d
-    return SieveTable(limit, s_values)
+    sig = [1] * (limit + 1)
+    for p in _sieve_primes(limit):
+        q, term, prev = p, p + 1, 1
+        while q <= limit:
+            if prev == 1:
+                sig[q::q] = map(mul, sig[q::q], repeat(term))
+            else:
+                sig[q::q] = map(floordiv, map(mul, sig[q::q], repeat(term)), repeat(prev))
+            q, term, prev = q * p, term * p + 1, term
+    for lo in range(0, limit + 1, _CHUNK):
+        hi = min(lo + _CHUNK, limit + 1)
+        sig[lo:hi] = map(sub, sig[lo:hi], range(lo, hi))
+    sig[0] = 0
+    return SieveTable(limit, sig)
 
 
 class Classification(str, Enum):

@@ -23,3 +23,7 @@ class DegenerateSubtraction(ToolkitError):
 
 class UnsupportedFormat(ToolkitError):
     """The requested serialization format is not defined for this object."""
+
+
+class VerificationFailed(ToolkitError):
+    """An independent re-check rejected a result the fast path produced."""

@@ -3,7 +3,8 @@
 A pair (m, n) is amicable when s(m) = n and s(n) = m with m != n, and
 betrothed when s(m) = n + 1 and s(n) = m + 1. Searches anchor on the smaller
 member m <= limit; the partner may lie beyond the limit. Every hit found
-through the sieve is re-verified against `sigma_brute` before it is reported.
+through the sieve is re-verified against `sigma_brute` before it is reported;
+a disagreement raises VerificationFailed, which `python -O` does not remove.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 from math import gcd
 
 from .divisor import SieveTable, aliquot_s, build_sieve, sigma_brute
-from .errors import BadParameter
+from .errors import BadParameter, VerificationFailed
 
 
 class PairKind(str, Enum):
@@ -121,69 +122,52 @@ def _worker_init(table: SieveTable | None) -> None:
     _WORKER_TABLE = table
 
 
-def _scan_amicable(lo: int, hi: int, table: SieveTable | None) -> list[tuple[int, int]]:
+def _scan(lo: int, hi: int, table: SieveTable | None, shift: int) -> list[tuple[int, int]]:
+    """Pairs (m, n) with lo <= m < hi, m < n, s(m) = n + shift and s(n) = m + shift."""
     found = []
     if table is None:
         for m in range(lo, hi):
-            n = aliquot_s(m)
-            if n > m and aliquot_s(n) == m:
+            n = aliquot_s(m) - shift
+            if n > m and aliquot_s(n) == m + shift:
                 found.append((m, n))
-    else:
-        s_values = table.s_values
-        limit = table.limit
-        for m in range(lo, hi):
-            n = s_values[m]
-            if n <= m:
-                continue
-            partner_s = s_values[n] if n <= limit else aliquot_s(n)
-            if partner_s == m:
-                found.append((m, n))
+        return found
+    s_values = table.s_values
+    limit = table.limit
+    lookup = table.s
+    for m in range(lo, hi):
+        n = s_values[m] - shift
+        if n > m and (s_values[n] if n <= limit else lookup(n, aliquot_s)) == m + shift:
+            found.append((m, n))
     return found
 
 
-def _scan_betrothed(lo: int, hi: int, table: SieveTable | None) -> list[tuple[int, int]]:
-    # mirrors _scan_amicable deliberately; the shifted condition stays visible
-    found = []
-    if table is None:
-        for m in range(lo, hi):
-            n = aliquot_s(m) - 1
-            if n <= m:
-                continue
-            if aliquot_s(n) == m + 1:
-                found.append((m, n))
-    else:
-        s_values = table.s_values
-        limit = table.limit
-        for m in range(lo, hi):
-            n = s_values[m] - 1
-            if n <= m:
-                continue
-            partner_s = s_values[n] if n <= limit else aliquot_s(n)
-            if partner_s == m + 1:
-                found.append((m, n))
-    return found
+def _scan_chunk(job: tuple[int, int, int]) -> list[tuple[int, int]]:
+    lo, hi, shift = job
+    return _scan(lo, hi, _WORKER_TABLE, shift)
 
 
-def _amicable_chunk(bounds: tuple[int, int]) -> list[tuple[int, int]]:
-    return _scan_amicable(bounds[0], bounds[1], _WORKER_TABLE)
-
-
-def _betrothed_chunk(bounds: tuple[int, int]) -> list[tuple[int, int]]:
-    return _scan_betrothed(bounds[0], bounds[1], _WORKER_TABLE)
-
-
-def _run_scan(limit, table, chunk_fn, serial_fn, parallel, workers):
+def _run_scan(limit, table, shift, parallel, workers):
     if not parallel:
-        return serial_fn(2, limit + 1, table)
+        return _scan(2, limit + 1, table, shift)
     import multiprocessing
 
     if workers is None:
         workers = min(os.cpu_count() or 1, 8)
     step = max(1, (limit - 1) // (workers * 4) + 1)
-    chunks = [(lo, min(lo + step, limit + 1)) for lo in range(2, limit + 1, step)]
+    jobs = [(lo, min(lo + step, limit + 1), shift) for lo in range(2, limit + 1, step)]
     with multiprocessing.Pool(workers, initializer=_worker_init, initargs=(table,)) as pool:
-        parts = pool.map(chunk_fn, chunks)
+        parts = pool.map(_scan_chunk, jobs)
     return [pair for part in parts for pair in part]
+
+
+def _search(limit, shift, method, parallel, workers) -> SearchReport:
+    table = _prepare(limit, method)
+    pairs = sorted(set(_run_scan(limit, table, shift, parallel, workers)))
+    for m, n in pairs:
+        # sigma(m) = sigma(n) = m + n + shift restates both scan conditions
+        if sigma_brute(m) != m + n + shift or sigma_brute(n) != m + n + shift:
+            raise VerificationFailed(f"oracle disagreement on candidate pair ({m}, {n})")
+    return _report(limit, pairs, table)
 
 
 def search_amicable(
@@ -195,21 +179,14 @@ def search_amicable(
 ) -> SearchReport:
     """All amicable pairs (m, n) with m < n and m <= limit.
 
-    method 'sieve' tabulates s once and looks partners up (falling back to
-    sigma for partners beyond the limit); 'direct' computes every s-value
-    from the factorization. Both re-verify each hit with sigma_brute.
+    method 'sieve' tabulates s once and looks partners up (`SieveTable.s`
+    extends the table past the limit); 'direct' computes every s-value
+    from the factorization. Both re-verify each hit with sigma_brute and
+    raise VerificationFailed on a disagreement.
     `parallel` partitions the scan range across processes; the merged result
     is sorted, so output does not depend on scheduling.
     """
-    table = _prepare(limit, method)
-    hits = _run_scan(limit, table, _amicable_chunk, _scan_amicable, parallel, workers)
-    pairs = []
-    for m, n in sorted(set(hits)):
-        assert sigma_brute(m) == m + n and sigma_brute(n) == m + n, (
-            f"oracle disagreement on candidate pair ({m}, {n})"
-        )
-        pairs.append((m, n))
-    return _report(limit, pairs, table)
+    return _search(limit, 0, method, parallel, workers)
 
 
 def search_betrothed(
@@ -221,18 +198,10 @@ def search_betrothed(
 ) -> SearchReport:
     """All betrothed pairs (m, n) with m < n and m <= limit.
 
-    Same scan structure and double-checking as `search_amicable`, with the
-    shifted condition s(m) = n + 1, s(n) = m + 1.
+    Same scan and double-checking as `search_amicable`, with the shifted
+    condition s(m) = n + 1, s(n) = m + 1.
     """
-    table = _prepare(limit, method)
-    hits = _run_scan(limit, table, _betrothed_chunk, _scan_betrothed, parallel, workers)
-    pairs = []
-    for m, n in sorted(set(hits)):
-        assert sigma_brute(m) - m == n + 1 and sigma_brute(n) - n == m + 1, (
-            f"oracle disagreement on candidate pair ({m}, {n})"
-        )
-        pairs.append((m, n))
-    return _report(limit, pairs, table)
+    return _search(limit, 1, method, parallel, workers)
 
 
 def _prepare(limit: int, method: str) -> SieveTable | None:

@@ -5,6 +5,7 @@ import pytest
 from amicable import (
     AliquotOutcome,
     BadParameter,
+    aliquot_s,
     aliquot_sequence,
     find_cycles,
     search_amicable,
@@ -137,3 +138,30 @@ def test_length_two_cycles_are_exactly_amicable_pairs():
     as_cycles = {c.members for c in find_cycles(limit, 2)}
     as_pairs = {pair for pair in search_amicable(limit).pairs}
     assert as_cycles == as_pairs
+
+
+def cycles_by_aliquot_s(limit, max_len):
+    # the walk of find_cycles with every step computed from the factorization
+    found = set()
+    for start in range(2, limit + 1):
+        path = [start]
+        index = {start: 0}
+        for _ in range(max_len):
+            nxt = aliquot_s(path[-1])
+            if nxt == path[-1] or nxt == 0 or nxt > 64 * limit:
+                break
+            if nxt in index:
+                cycle = path[index[nxt]:]
+                if len(cycle) >= 2:
+                    pivot = cycle.index(min(cycle))
+                    found.add(tuple(cycle[pivot:] + cycle[:pivot]))
+                break
+            index[nxt] = len(path)
+            path.append(nxt)
+    return sorted(found)
+
+
+def test_find_cycles_matches_walk_by_aliquot_s():
+    cycles = find_cycles(20_000, 30)
+    assert [c.members for c in cycles] == cycles_by_aliquot_s(20_000, 30)
+    assert len(cycles) == 10

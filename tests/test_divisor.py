@@ -4,6 +4,8 @@ import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amicable import (
     BadParameter,
@@ -134,6 +136,80 @@ def test_build_sieve_budget_env_override(monkeypatch):
         build_sieve(5000)
     monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "6000")
     assert build_sieve(5000).limit == 5000
+
+
+def additive_sieve(limit):
+    # reference construction: add each d to the slot of every proper multiple of d
+    s_values = [0] * (limit + 1)
+    for d in range(1, limit // 2 + 1):
+        for multiple in range(2 * d, limit + 1, d):
+            s_values[multiple] += d
+    return s_values
+
+
+def test_build_sieve_equals_additive_sieve_small_limits():
+    for limit in range(1, 65):
+        assert build_sieve(limit).s_values == additive_sieve(limit), limit
+
+
+def test_build_sieve_equals_additive_sieve_at_2e5():
+    assert build_sieve(200_000).s_values == additive_sieve(200_000)
+
+
+def primes_above(n, count):
+    found = []
+    while len(found) < count:
+        n += 1
+        if sigma_oracle(n) == n + 1:
+            found.append(n)
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_lookup_beyond_limit_matches_oracles(data):
+    limit = data.draw(st.integers(1, 3000), label="limit")
+    n = data.draw(st.integers(limit + 1, 64 * limit), label="n")
+    assert build_sieve(limit).s(n) == aliquot_s(n) == sigma_brute(n) - n
+
+
+def test_table_lookup_inside_limit_reads_table():
+    table = build_sieve(500)
+    assert [table.s(n) for n in range(501)] == table.s_values
+    with pytest.raises(BadParameter):
+        table.s(-1)
+
+
+def test_table_lookup_explicit_cases():
+    limit = 1000
+    table = build_sieve(limit)
+    calls = []
+
+    def fallback(n):
+        calls.append(n)
+        return aliquot_s(n)
+
+    def lookup(n):
+        return table.s(n, fallback)
+
+    assert lookup(limit + 1) == sigma_oracle(limit + 1) - (limit + 1)
+    for p in primes_above(limit, 8) + primes_above(10**6, 4):
+        assert lookup(p) == 1
+        assert lookup(2 * p) == sigma_oracle(2 * p) - 2 * p
+    for k in range(10, 90):
+        assert lookup(2**k) == 2**k - 1
+    for k in range(7, 60):
+        assert lookup(3**k) == (3 ** (k + 1) - 1) // 2 - 3**k
+    # a prime cofactor above 2**64, decided by the probabilistic test
+    m89 = 2**89 - 1
+    assert lookup(3 * m89) == 4 * (m89 + 1) - 3 * m89
+    assert calls == []
+
+    # cofactors with two prime factors above 1000: only these fall back
+    rough = [1009 * 1013, 1009**2, 2 * 1009 * 1013, 12 * 1013 * 1019, 1009 * 1013 * 1019]
+    for n in rough:
+        assert lookup(n) == sigma_oracle(n) - n
+    assert calls == rough
 
 
 def test_classify_frozen_examples():

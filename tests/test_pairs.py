@@ -197,6 +197,15 @@ def test_search_betrothed_parallel_and_direct_agree():
     assert search_betrothed(500, parallel=True, workers=2).pairs == base.pairs
 
 
+@pytest.mark.parametrize("search", [search_amicable, search_betrothed])
+def test_search_engines_agree_at_20000(search):
+    # partners past 20000 come from the table plus trial division
+    sieve = search(20_000)
+    assert search(20_000, method="direct").pairs == sieve.pairs
+    assert search(20_000, parallel=True, workers=2) == sieve
+    assert len(sieve.pairs) == 8
+
+
 def test_search_rejects_tiny_limits_and_bad_method():
     with pytest.raises(BadParameter):
         search_amicable(1)
