@@ -11,15 +11,10 @@ from .catalog import (
     COPRIME_PRODUCT_SEARCH_BOUND,
     EntryKind,
     KnownEntry,
-    aliquot_result_from_json,
     candidate_from_json,
     export_report,
+    from_json,
     known_catalog,
-    known_entries_from_json,
-    number_class_from_json,
-    pair_verdict_from_json,
-    search_report_from_json,
-    sociable_cycle_from_json,
     to_jsonable,
     verify_catalog,
 )

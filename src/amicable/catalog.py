@@ -5,42 +5,41 @@ measured against: five historical amicable pairs, the Paganini and Euler-rule
 pairs, the two smallest betrothed pairs, and Poulet's five-cycle. A self-test
 re-verifies every entry from scratch.
 
-Serialization notes. JSON is the round-trippable format: every integer is
-rendered as a decimal string so values above 2**53 survive any JSON reader,
-key order is fixed, and output is compact, hence byte-deterministic. CSV is
-defined for pair-shaped reports only (one row per pair, columns
-m,n,kind,gcd,parity).
+Serialization notes. JSON is the round-trippable format, produced by one
+codec that follows each report class's dataclass fields and their type hints
+(resolved on first use and cached per class), not the runtime values:
+
+* `int` becomes a decimal string, so values above 2**53 survive any JSON
+  reader; `bool`, `str` and None pass through; an Enum becomes its value;
+* a nested dataclass becomes a nested object, and `tuple[int, ...]` and
+  lists become JSON lists, whatever their length;
+* a field hinted `tuple[int, int]` becomes {"m": ..., "n": ...};
+* keys follow field order, and the three generator candidates lead with a
+  "rule" key ("thabit", "euler", "borho") that `candidate_from_json` reads
+  back to pick the type.
+
+Plain dicts and lists of such values encode the same way (ints by value).
+Output is compact, hence byte-deterministic. `from_json(raw, cls)` is the
+inverse for any report class `cls` or `list[KnownEntry]`. CSV is defined for
+pair-shaped reports only (one row per pair, columns m,n,kind,gcd,parity).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import typing
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import gcd
 
-from .cycles import AliquotOutcome, AliquotResult, SociableCycle, verify_cycle
-from .divisor import Classification, NumberClass
+from .cycles import verify_cycle
 from .errors import UnsupportedFormat
-from .generators import (
-    BorhoCandidate,
-    BorhoHypothesis,
-    EulerCandidate,
-    ThabitCandidate,
-    verify_pair_by_sigma,
-)
-from .pairs import (
-    AuditResult,
-    GuardFailure,
-    Oracle,
-    PairKind,
-    PairVerdict,
-    SearchReport,
-    check_amicable,
-    check_betrothed,
-)
+from .generators import BorhoCandidate, EulerCandidate, ThabitCandidate, verify_pair_by_sigma
+from .pairs import PairKind, PairVerdict, SearchReport, check_amicable, check_betrothed
 
 # Exhaustive computational searches of the literature have pushed the least
 # possible member product of a coprime amicable pair beyond this bound.
@@ -128,124 +127,100 @@ def verify_catalog(entries: list[KnownEntry] | None = None) -> list[tuple[KnownE
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: fixed key order, every integer as a decimal string.
+# JSON codec. The shape of each value follows its field's type hint, resolved
+# on first use and cached per class, so one encoder and one decoder serve
+# every report type.
 
-def _enc(x: int) -> str:
-    return str(x)
+# The candidate types carry a leading "rule" key naming their generator;
+# candidate_from_json reads it back to choose the type.
+_RULES = {"thabit": ThabitCandidate, "euler": EulerCandidate, "borho": BorhoCandidate}
 
-def _enc_opt(x: int | None) -> str | None:
-    return None if x is None else str(x)
 
-def _enc_pair(pair: tuple[int, int] | None) -> dict | None:
-    if pair is None:
-        return None
-    return {"m": str(pair[0]), "n": str(pair[1])}
+@cache
+def _fields(cls: type) -> tuple[str | None, tuple[tuple[str, object], ...]]:
+    """The rule tag of a report class and its (field name, type hint) pairs, in order."""
+    hints = typing.get_type_hints(cls)
+    rule = next((tag for tag, ruled in _RULES.items() if ruled is cls), None)
+    return rule, tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
-def _enc_seq(values) -> list[str]:
-    return [str(v) for v in values]
+
+@cache
+def _shape(hint) -> tuple[str, object]:
+    """How values of a type hint are encoded: a shape name and its argument."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return "optional", inner
+    if hint == tuple[int, int]:
+        return "pair", None
+    if typing.get_origin(hint) in (tuple, list):
+        return typing.get_origin(hint).__name__, args[0]
+    if dataclasses.is_dataclass(hint):
+        return "record", hint
+    if issubclass(hint, Enum):
+        return "enum", hint
+    if hint is int:
+        return "int", None
+    return "plain", None
+
+
+def _encode(value, hint) -> object:
+    shape, arg = _shape(hint)
+    if shape == "int":
+        return str(value)
+    if shape == "optional":
+        return None if value is None else _encode(value, arg)
+    if shape == "pair":
+        return {"m": str(value[0]), "n": str(value[1])}
+    if shape in ("tuple", "list"):
+        if arg is int:  # same result as the loop below, for the bulk of every export
+            return list(map(str, value))
+        return [_encode(item, arg) for item in value]
+    if shape == "record":
+        rule, fields = _fields(arg)
+        out = {} if rule is None else {"rule": rule}
+        for name, field_hint in fields:
+            out[name] = _encode(getattr(value, name), field_hint)
+        return out
+    if shape == "enum":
+        return value.value
+    return value
+
+
+def _decode(data, hint) -> object:
+    shape, arg = _shape(hint)
+    if shape == "optional":
+        return None if data is None else _decode(data, arg)
+    if shape == "pair":
+        return (int(data["m"]), int(data["n"]))
+    if shape == "tuple":
+        return tuple(_decode(item, arg) for item in data)
+    if shape == "list":
+        return [_decode(item, arg) for item in data]
+    if shape == "record":
+        _, fields = _fields(arg)
+        return arg(**{name: _decode(data[name], field_hint) for name, field_hint in fields})
+    if shape in ("enum", "int"):
+        return hint(data)
+    return data
 
 
 def to_jsonable(report) -> object:
-    """The JSON-ready form of any report object this package produces."""
-    if isinstance(report, PairVerdict):
-        return {
-            "m": _enc(report.m),
-            "n": _enc(report.n),
-            "kind": report.kind.value,
-            "s_m": _enc(report.s_m),
-            "s_n": _enc(report.s_n),
-            "guard_failures": [g.value for g in report.guard_failures],
-        }
-    if isinstance(report, SearchReport):
-        return {
-            "limit": _enc(report.limit),
-            "pairs": [_enc_pair(p) for p in report.pairs],
-            "all_even": report.all_even,
-            "min_gcd": _enc(report.min_gcd),
-            "oracle": report.oracle.value,
-        }
-    if isinstance(report, AuditResult):
-        return {
-            "all_even": report.all_even,
-            "min_gcd": _enc(report.min_gcd),
-            "coprime_found": report.coprime_found,
-        }
-    if isinstance(report, AliquotResult):
-        return {
-            "start": _enc(report.start),
-            "trajectory": _enc_seq(report.trajectory),
-            "outcome": report.outcome.value,
-            "fixed_point": _enc_opt(report.fixed_point),
-            "cycle": None if report.cycle is None else _enc_seq(report.cycle),
-            "entry_index": _enc_opt(report.entry_index),
-        }
-    if isinstance(report, SociableCycle):
-        return {"members": _enc_seq(report.members), "length": _enc(report.length)}
-    if isinstance(report, NumberClass):
-        return {"tag": report.tag.value, "n": _enc(report.n), "s_value": _enc(report.s_value)}
-    if isinstance(report, ThabitCandidate):
-        return {
-            "rule": "thabit",
-            "k": _enc(report.k),
-            "p": _enc(report.p),
-            "q": _enc(report.q),
-            "r": _enc(report.r),
-            "p_prime": report.p_prime,
-            "q_prime": report.q_prime,
-            "r_prime": report.r_prime,
-            "primality_mode": report.primality_mode,
-            "pair": _enc_pair(report.pair),
-            "verified": report.verified,
-        }
-    if isinstance(report, EulerCandidate):
-        return {
-            "rule": "euler",
-            "m": _enc(report.m),
-            "n": _enc(report.n),
-            "a": _enc(report.a),
-            "p": _enc(report.p),
-            "q": _enc(report.q),
-            "r": _enc(report.r),
-            "p_prime": report.p_prime,
-            "q_prime": report.q_prime,
-            "r_prime": report.r_prime,
-            "primality_mode": report.primality_mode,
-            "pair": _enc_pair(report.pair),
-            "verified": report.verified,
-        }
-    if isinstance(report, BorhoCandidate):
-        h = report.hypothesis
-        return {
-            "rule": "borho",
-            "a": _enc(report.a),
-            "u": _enc(report.u),
-            "n": _enc(report.n),
-            "t": _enc(report.t),
-            "p1": _enc(report.p1),
-            "p2": _enc(report.p2),
-            "degenerate_subtraction": report.degenerate_subtraction,
-            "hypothesis": {
-                "breeder_amicable": h.breeder_amicable,
-                "t_prime": h.t_prime,
-                "p1_prime": h.p1_prime,
-                "p2_prime": h.p2_prime,
-                "coprime_au_t": h.coprime_au_t,
-                "coprime_au_p1": h.coprime_au_p1,
-                "coprime_a_p2": h.coprime_a_p2,
-            },
-            "primality_mode": report.primality_mode,
-            "pair": _enc_pair(report.pair),
-            "verified": report.verified,
-        }
-    if isinstance(report, KnownEntry):
-        return {
-            "kind": report.kind.value,
-            "members": _enc_seq(report.members),
-            "attribution": report.attribution,
-            "source": report.source,
-        }
+    """The JSON-ready form of a report object, or of a dict or list holding them.
+
+    Report objects are encoded by their field types; plain ints become
+    decimal strings and bools, strings and None pass through.
+    """
+    if dataclasses.is_dataclass(report) and not isinstance(report, type):
+        return _encode(report, type(report))
+    if isinstance(report, dict):
+        return {key: to_jsonable(value) for key, value in report.items()}
     if isinstance(report, (list, tuple)):
         return [to_jsonable(item) for item in report]
+    if report is None or isinstance(report, (bool, str)):
+        return report
+    if isinstance(report, int):
+        return str(report)
     raise UnsupportedFormat(f"no serialization defined for {type(report).__name__}")
 
 
@@ -291,125 +266,15 @@ def export_report(report, fmt: str = "json") -> bytes:
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 
-# ---------------------------------------------------------------------------
-# JSON decoding, the inverse of export_report(..., "json").
-
-def _dec(x: str) -> int:
-    return int(x)
-
-def _dec_opt(x: str | None) -> int | None:
-    return None if x is None else int(x)
-
-def _dec_pair(obj: dict | None) -> tuple[int, int] | None:
-    if obj is None:
-        return None
-    return (int(obj["m"]), int(obj["n"]))
-
-
-def _loads(raw: bytes | str) -> object:
-    if isinstance(raw, bytes):
-        raw = raw.decode()
-    return json.loads(raw)
-
-
-def pair_verdict_from_json(raw: bytes | str) -> PairVerdict:
-    d = _loads(raw)
-    return PairVerdict(
-        m=_dec(d["m"]),
-        n=_dec(d["n"]),
-        s_m=_dec(d["s_m"]),
-        s_n=_dec(d["s_n"]),
-        kind=PairKind(d["kind"]),
-        guard_failures=tuple(GuardFailure(g) for g in d["guard_failures"]),
-    )
-
-
-def search_report_from_json(raw: bytes | str) -> SearchReport:
-    d = _loads(raw)
-    return SearchReport(
-        limit=_dec(d["limit"]),
-        pairs=tuple(_dec_pair(p) for p in d["pairs"]),
-        all_even=d["all_even"],
-        min_gcd=_dec(d["min_gcd"]),
-        oracle=Oracle(d["oracle"]),
-    )
-
-
-def aliquot_result_from_json(raw: bytes | str) -> AliquotResult:
-    d = _loads(raw)
-    return AliquotResult(
-        start=_dec(d["start"]),
-        trajectory=tuple(int(v) for v in d["trajectory"]),
-        outcome=AliquotOutcome(d["outcome"]),
-        fixed_point=_dec_opt(d["fixed_point"]),
-        cycle=None if d["cycle"] is None else tuple(int(v) for v in d["cycle"]),
-        entry_index=_dec_opt(d["entry_index"]),
-    )
-
-
-def sociable_cycle_from_json(raw: bytes | str) -> SociableCycle:
-    d = _loads(raw)
-    return SociableCycle(
-        members=tuple(int(v) for v in d["members"]), length=_dec(d["length"])
-    )
-
-
-def number_class_from_json(raw: bytes | str) -> NumberClass:
-    d = _loads(raw)
-    return NumberClass(Classification(d["tag"]), _dec(d["n"]), _dec(d["s_value"]))
-
-
-def known_entries_from_json(raw: bytes | str) -> list[KnownEntry]:
-    return [
-        KnownEntry(
-            kind=EntryKind(d["kind"]),
-            members=tuple(int(v) for v in d["members"]),
-            attribution=d["attribution"],
-            source=d["source"],
-        )
-        for d in _loads(raw)
-    ]
+def from_json(raw: bytes | str, cls):
+    """Rebuild a report exported as JSON; `cls` is its class or `list[KnownEntry]`."""
+    return _decode(json.loads(raw), cls)
 
 
 def candidate_from_json(raw: bytes | str):
     """Rebuild a generator candidate; the 'rule' field picks the type."""
-    d = _loads(raw)
-    rule = d.get("rule")
-    if rule == "thabit":
-        return ThabitCandidate(
-            k=_dec(d["k"]),
-            p=_dec(d["p"]), q=_dec(d["q"]), r=_dec(d["r"]),
-            p_prime=d["p_prime"], q_prime=d["q_prime"], r_prime=d["r_prime"],
-            primality_mode=d["primality_mode"],
-            pair=_dec_pair(d["pair"]),
-            verified=d["verified"],
-        )
-    if rule == "euler":
-        return EulerCandidate(
-            m=_dec(d["m"]), n=_dec(d["n"]), a=_dec(d["a"]),
-            p=_dec(d["p"]), q=_dec(d["q"]), r=_dec(d["r"]),
-            p_prime=d["p_prime"], q_prime=d["q_prime"], r_prime=d["r_prime"],
-            primality_mode=d["primality_mode"],
-            pair=_dec_pair(d["pair"]),
-            verified=d["verified"],
-        )
-    if rule == "borho":
-        h = d["hypothesis"]
-        return BorhoCandidate(
-            a=_dec(d["a"]), u=_dec(d["u"]), n=_dec(d["n"]),
-            t=_dec(d["t"]), p1=_dec(d["p1"]), p2=_dec(d["p2"]),
-            degenerate_subtraction=d["degenerate_subtraction"],
-            hypothesis=BorhoHypothesis(
-                breeder_amicable=h["breeder_amicable"],
-                t_prime=h["t_prime"],
-                p1_prime=h["p1_prime"],
-                p2_prime=h["p2_prime"],
-                coprime_au_t=h["coprime_au_t"],
-                coprime_au_p1=h["coprime_au_p1"],
-                coprime_a_p2=h["coprime_a_p2"],
-            ),
-            primality_mode=d["primality_mode"],
-            pair=_dec_pair(d["pair"]),
-            verified=d["verified"],
-        )
-    raise UnsupportedFormat(f"unknown candidate rule {rule!r}")
+    data = json.loads(raw)
+    rule = data.get("rule")
+    if rule not in _RULES:
+        raise UnsupportedFormat(f"unknown candidate rule {rule!r}")
+    return _decode(data, _RULES[rule])

@@ -9,19 +9,21 @@ Output is deterministic for identical invocations, including under
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 
-from .catalog import export_report, known_catalog, to_jsonable, verify_catalog
+from .catalog import export_report, verify_catalog
 from .cycles import aliquot_sequence, find_cycles, verify_cycle
 from .divisor import aliquot_s, classify, sigma
 from .errors import ToolkitError
-from .generators import borho_candidate, euler_candidate, thabit_candidate
+from .generators import (
+    BorhoCandidate,
+    ThabitCandidate,
+    borho_candidate,
+    euler_candidate,
+    thabit_candidate,
+)
 from .pairs import PairKind, audit, check_amicable, check_betrothed, search_amicable, search_betrothed
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _nat(text: str) -> int:
@@ -48,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
+    searching = argparse.ArgumentParser(add_help=False, parents=[common])
+    searching.add_argument(
         "--parallel", action="store_true",
         help="partition searches across worker processes",
     )
@@ -74,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_nat)
     p.add_argument("--betrothed", action="store_true", help="test the betrothed condition")
 
-    p = sub.add_parser("search", parents=[common], help="find all pairs up to a limit")
+    p = sub.add_parser("search", parents=[searching], help="find all pairs up to a limit")
     p.add_argument("--max", type=_nat, required=True, dest="limit")
     p.add_argument("--betrothed", action="store_true", help="search betrothed pairs")
 
@@ -90,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle-verify", parents=[common], help="verify a claimed cycle")
     p.add_argument("members", type=_member_list, help="comma-separated members, in order")
 
-    p = sub.add_parser("generate", parents=[common], help="run a generation rule")
+    # Only the rule subparsers take --format: an option given to `generate`
+    # itself would be overwritten by the rule subparser's default.
+    p = sub.add_parser("generate", help="run a generation rule")
     rule = p.add_subparsers(dest="rule", required=True)
 
     g = rule.add_parser("thabit", parents=[common], help="doubling rule")
@@ -109,52 +114,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify-known", parents=[common], help="re-verify the built-in catalog")
 
-    p = sub.add_parser("audit", parents=[common], help="search then audit parity and gcds")
+    p = sub.add_parser("audit", parents=[searching], help="search then audit parity and gcds")
     p.add_argument("--max", type=_nat, required=True, dest="limit")
 
     return parser
 
 
-def _emit(args, report, text_lines) -> None:
+def _emit(args, payload, text_lines) -> None:
+    """Print `text_lines`, or `payload` exported in the requested format."""
     if args.format == "text":
         for line in text_lines:
             print(line)
     else:
-        sys.stdout.write(export_report(report, args.format).decode())
+        sys.stdout.write(export_report(payload, args.format).decode())
         if args.format == "json":
             sys.stdout.write("\n")
 
 
-def _cmd_sigma(args) -> int:
-    value = sigma(args.n)
-    if args.format == "json":
-        print(_dumps({"n": str(args.n), "sigma": str(value)}))
-    elif args.format == "text":
-        print(value)
-    else:
-        raise ToolkitError("CSV is not defined for scalar results")
-    return 0
-
-
-def _cmd_s(args) -> int:
-    value = aliquot_s(args.n)
-    if args.format == "json":
-        print(_dumps({"n": str(args.n), "s": str(value)}))
-    elif args.format == "text":
-        print(value)
-    else:
-        raise ToolkitError("CSV is not defined for scalar results")
+def _cmd_divisor_sum(args) -> int:
+    function = sigma if args.command == "sigma" else aliquot_s
+    value = function(args.n)
+    _emit(args, {"n": args.n, args.command: value}, [value])
     return 0
 
 
 def _cmd_classify(args) -> int:
     result = classify(args.n)
-    if args.format == "text":
-        print(result.tag.value)
-    elif args.format == "json":
-        print(_dumps(to_jsonable(result)))
-    else:
-        raise ToolkitError("CSV is not defined for classifications")
+    _emit(args, result, [result.tag.value])
     return 0
 
 
@@ -204,19 +190,11 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_cycle_verify(args) -> int:
     check = verify_cycle(args.members)
-    if args.format == "json":
-        print(_dumps({
-            "members": [str(v) for v in args.members],
-            "ok": check.ok,
-            "failure": check.failure,
-        }))
-    elif args.format == "text":
-        if check.ok:
-            print(f"valid cycle of length {len(args.members)}")
-        else:
-            print(f"not a cycle: {check.failure}")
+    if check.ok:
+        line = f"valid cycle of length {len(args.members)}"
     else:
-        raise ToolkitError("CSV is not defined for cycle verdicts")
+        line = f"not a cycle: {check.failure}"
+    _emit(args, {"members": args.members, "ok": check.ok, "failure": check.failure}, [line])
     return 0 if check.ok else 1
 
 
@@ -224,11 +202,21 @@ def _describe_flag(value: int, flag: bool) -> str:
     return f"{value} ({'prime' if flag else 'composite'})"
 
 
-def _thabit_line(c) -> str:
-    head = (
-        f"k={c.k}: p={_describe_flag(c.p, c.p_prime)}, "
-        f"q={_describe_flag(c.q, c.q_prime)}, r={_describe_flag(c.r, c.r_prime)}"
-    )
+def _candidate_line(c) -> str:
+    """One text line for a Thabit, Euler or Borho candidate."""
+    if isinstance(c, BorhoCandidate):
+        head = f"a={c.a} u={c.u} n={c.n}: t={c.t}, p1={c.p1}, p2={c.p2}"
+        if c.degenerate_subtraction:
+            head += " (degenerate subtraction)"
+        if c.pair is None:
+            failed = [name for name, ok in asdict(c.hypothesis).items() if not ok]
+            head += "; failed: " + ", ".join(failed)
+    else:
+        lead = f"k={c.k}:" if isinstance(c, ThabitCandidate) else f"m={c.m} n={c.n}: a={c.a},"
+        head = (
+            f"{lead} p={_describe_flag(c.p, c.p_prime)}, "
+            f"q={_describe_flag(c.q, c.q_prime)}, r={_describe_flag(c.r, c.r_prime)}"
+        )
     if c.pair is None:
         return head + " -> rejected"
     status = "verified" if c.verified else "NOT verified"
@@ -236,96 +224,46 @@ def _thabit_line(c) -> str:
 
 
 def _cmd_generate(args) -> int:
+    if args.rule == "thabit" and args.k_max is not None:
+        candidates = [thabit_candidate(k) for k in range(1, args.k_max + 1)]
+        _emit(args, candidates, [_candidate_line(c) for c in candidates])
+        return 0 if any(c.verified for c in candidates) else 1
     if args.rule == "thabit":
-        if args.k_max is not None:
-            candidates = [thabit_candidate(k) for k in range(1, args.k_max + 1)]
-            _emit(args, candidates, [_thabit_line(c) for c in candidates])
-            return 0 if any(c.verified for c in candidates) else 1
-        candidate = thabit_candidate(args.k)
-        _emit(args, candidate, [_thabit_line(candidate)])
-        return 0 if candidate.verified else 1
-    if args.rule == "euler":
+        c = thabit_candidate(args.k)
+    elif args.rule == "euler":
         c = euler_candidate(args.m, args.n)
-        head = (
-            f"m={c.m} n={c.n}: a={c.a}, p={_describe_flag(c.p, c.p_prime)}, "
-            f"q={_describe_flag(c.q, c.q_prime)}, r={_describe_flag(c.r, c.r_prime)}"
-        )
-        if c.pair is None:
-            line = head + " -> rejected"
-        else:
-            line = head + f" -> pair ({c.pair[0]}, {c.pair[1]}) " + (
-                "verified" if c.verified else "NOT verified"
-            )
-        _emit(args, c, [line])
-        return 0 if c.verified else 1
-    c = borho_candidate(args.a, args.u, args.n)
-    failed = [
-        name
-        for name, ok in (
-            ("breeder_amicable", c.hypothesis.breeder_amicable),
-            ("t_prime", c.hypothesis.t_prime),
-            ("p1_prime", c.hypothesis.p1_prime),
-            ("p2_prime", c.hypothesis.p2_prime),
-            ("coprime_au_t", c.hypothesis.coprime_au_t),
-            ("coprime_au_p1", c.hypothesis.coprime_au_p1),
-            ("coprime_a_p2", c.hypothesis.coprime_a_p2),
-        )
-        if not ok
-    ]
-    head = f"a={c.a} u={c.u} n={c.n}: t={c.t}, p1={c.p1}, p2={c.p2}"
-    if c.degenerate_subtraction:
-        head += " (degenerate subtraction)"
-    if c.pair is None:
-        line = head + "; failed: " + ", ".join(failed) + " -> rejected"
     else:
-        line = head + f" -> pair ({c.pair[0]}, {c.pair[1]}) " + (
-            "verified" if c.verified else "NOT verified"
-        )
-    _emit(args, c, [line])
+        c = borho_candidate(args.a, args.u, args.n)
+    _emit(args, c, [_candidate_line(c)])
     return 0 if c.verified else 1
 
 
 def _cmd_verify_known(args) -> int:
     results = verify_catalog()
-    if args.format == "json":
-        payload = [
-            {"entry": to_jsonable(entry), "ok": ok} for entry, ok in results
-        ]
-        print(_dumps(payload))
-    elif args.format == "text":
-        for entry, ok in results:
-            members = ",".join(str(v) for v in entry.members)
-            print(f"{'ok' if ok else 'FAIL'} {entry.kind.value} {members} ({entry.attribution})")
-        print(f"verified {sum(ok for _, ok in results)}/{len(results)} entries")
-    else:
-        raise ToolkitError("CSV is not defined for catalog verification")
+    lines = [
+        f"{'ok' if ok else 'FAIL'} {entry.kind.value} "
+        f"{','.join(str(v) for v in entry.members)} ({entry.attribution})"
+        for entry, ok in results
+    ]
+    lines.append(f"verified {sum(ok for _, ok in results)}/{len(results)} entries")
+    _emit(args, [{"entry": entry, "ok": ok} for entry, ok in results], lines)
     return 0 if all(ok for _, ok in results) else 1
 
 
 def _cmd_audit(args) -> int:
     report = search_amicable(args.limit, parallel=args.parallel)
     result = audit(report)
-    if args.format == "json":
-        print(_dumps({
-            "limit": str(args.limit),
-            "pairs": str(len(report.pairs)),
-            "all_even": result.all_even,
-            "min_gcd": str(result.min_gcd),
-            "coprime_found": result.coprime_found,
-        }))
-    elif args.format == "text":
-        print(
-            f"pairs={len(report.pairs)} all_even={_bool_word(result.all_even)} "
-            f"min_gcd={result.min_gcd} coprime_found={_bool_word(result.coprime_found)}"
-        )
-    else:
-        raise ToolkitError("CSV is not defined for audits")
+    line = (
+        f"pairs={len(report.pairs)} all_even={_bool_word(result.all_even)} "
+        f"min_gcd={result.min_gcd} coprime_found={_bool_word(result.coprime_found)}"
+    )
+    _emit(args, {"limit": args.limit, "pairs": len(report.pairs), **asdict(result)}, [line])
     return 0
 
 
 _HANDLERS = {
-    "sigma": _cmd_sigma,
-    "s": _cmd_s,
+    "sigma": _cmd_divisor_sum,
+    "s": _cmd_divisor_sum,
     "classify": _cmd_classify,
     "check-pair": _cmd_check_pair,
     "search": _cmd_search,

@@ -8,7 +8,7 @@ Three parametrized rules are implemented:
 * Euler's two-exponent generalization (1747): for 1 <= m < n take
   a = 2**(n-m) + 1, p = 2**m*a - 1, q = 2**n*a - 1, r = 2**(n+m)*a**2 - 1;
   when all three are prime, (2**n*p*q, 2**n*r) is amicable; n - m = 1 gives
-  back the doubling rule;
+  back the doubling rule, which is how `thabit_candidate` evaluates it;
 * the breeder construction of Borho and Hoffmann (1986): from a pair
   (a*u, a) and t = sigma(u), form p1 = t**n*(u+1) - 1 and
   p2 = t**n*(u+1)*(t-u) - 1, giving the candidate pair
@@ -27,7 +27,7 @@ from math import gcd
 
 from .divisor import sigma, sigma_brute
 from .errors import BadParameter, DegenerateSubtraction
-from .numeric import PRIME_DETERMINISTIC_BOUND, is_prime
+from .numeric import is_prime, prime_test_mode
 from .pairs import PairKind, check_amicable
 
 
@@ -41,9 +41,13 @@ def verify_pair_by_sigma(m: int, n: int) -> bool:
     return sigma(m) == total and sigma(n) == total
 
 
-def _mode(*values: int) -> str:
-    big = max(values)
-    return "deterministic" if big < PRIME_DETERMINISTIC_BOUND else "probabilistic"
+def _euler_numbers(m: int, n: int) -> tuple[int, int, int, int]:
+    """(a, p, q, r) of Euler's rule at exponents (m, n)."""
+    a = (1 << (n - m)) + 1
+    p = (1 << m) * a - 1
+    q = (1 << n) * a - 1
+    r = (1 << (n + m)) * a * a - 1
+    return a, p, q, r
 
 
 @dataclass(frozen=True)
@@ -61,21 +65,12 @@ class ThabitCandidate:
 
 
 def thabit_candidate(k: int) -> ThabitCandidate:
-    """Evaluate the doubling rule at shift k >= 1."""
+    """Evaluate the doubling rule at shift k >= 1: Euler's rule at (k, k + 1)."""
     if k < 1:
         raise BadParameter("the doubling rule needs k >= 1")
-    p = 3 * (1 << k) - 1
-    q = 3 * (1 << (k + 1)) - 1
-    r = 9 * (1 << (2 * k + 1)) - 1
-    p_prime, q_prime, r_prime = is_prime(p), is_prime(q), is_prime(r)
-    pair = None
-    verified = False
-    if p_prime and q_prime and r_prime:
-        scale = 1 << (k + 1)
-        pair = (scale * p * q, scale * r)
-        verified = verify_pair_by_sigma(*pair)
+    c = euler_candidate(k, k + 1)
     return ThabitCandidate(
-        k, p, q, r, p_prime, q_prime, r_prime, _mode(p, q, r), pair, verified
+        k, c.p, c.q, c.r, c.p_prime, c.q_prime, c.r_prime, c.primality_mode, c.pair, c.verified
     )
 
 
@@ -106,10 +101,7 @@ def euler_candidate(m: int, n: int) -> EulerCandidate:
         raise BadParameter("Euler's rule needs m >= 1")
     if m >= n:
         raise BadParameter("Euler's rule needs m < n")
-    a = (1 << (n - m)) + 1
-    p = (1 << m) * a - 1
-    q = (1 << n) * a - 1
-    r = (1 << (n + m)) * a * a - 1
+    a, p, q, r = _euler_numbers(m, n)
     p_prime, q_prime, r_prime = is_prime(p), is_prime(q), is_prime(r)
     pair = None
     verified = False
@@ -117,9 +109,8 @@ def euler_candidate(m: int, n: int) -> EulerCandidate:
         scale = 1 << n
         pair = (scale * p * q, scale * r)
         verified = verify_pair_by_sigma(*pair)
-    return EulerCandidate(
-        m, n, a, p, q, r, p_prime, q_prime, r_prime, _mode(p, q, r), pair, verified
-    )
+    mode = prime_test_mode(max(p, q, r))
+    return EulerCandidate(m, n, a, p, q, r, p_prime, q_prime, r_prime, mode, pair, verified)
 
 
 @dataclass(frozen=True)
@@ -195,29 +186,22 @@ def borho_candidate(a: int, u: int, n: int) -> BorhoCandidate:
         tn = t**n
         pair = (a * u * tn * p1, a * tn * p2)
         verified = verify_pair_by_sigma(*pair)
-    return BorhoCandidate(
-        a, u, n, t, p1, p2, degenerate, hypothesis, _mode(t, p1, p2), pair, verified
-    )
+    mode = prime_test_mode(max(t, p1, p2))
+    return BorhoCandidate(a, u, n, t, p1, p2, degenerate, hypothesis, mode, pair, verified)
 
 
 def thabit_identity_check(k: int) -> bool:
     """Exact check of (p + 1)(q + 1) = r + 1 for the doubling rule at k."""
     if k < 1:
         raise BadParameter("the doubling rule needs k >= 1")
-    p = 3 * (1 << k) - 1
-    q = 3 * (1 << (k + 1)) - 1
-    r = 9 * (1 << (2 * k + 1)) - 1
-    return (p + 1) * (q + 1) == r + 1
+    return euler_identity_check(k, k + 1)
 
 
 def euler_identity_check(m: int, n: int) -> bool:
     """Exact check of (p + 1)(q + 1) = r + 1 for Euler's rule at (m, n)."""
     if m < 1 or m >= n:
         raise BadParameter("Euler's rule needs 1 <= m < n")
-    a = (1 << (n - m)) + 1
-    p = (1 << m) * a - 1
-    q = (1 << n) * a - 1
-    r = (1 << (n + m)) * a * a - 1
+    _, p, q, r = _euler_numbers(m, n)
     return (p + 1) * (q + 1) == r + 1
 
 

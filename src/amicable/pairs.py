@@ -44,9 +44,9 @@ class PairVerdict:
 
     m: int
     n: int
+    kind: PairKind
     s_m: int
     s_n: int
-    kind: PairKind
     guard_failures: tuple[GuardFailure, ...] = ()
 
 
@@ -66,7 +66,7 @@ def check_amicable(m: int, n: int) -> PairVerdict:
     s_n = aliquot_s(n)
     hit = not failures and s_m == n and s_n == m
     kind = PairKind.AMICABLE if hit else PairKind.NEITHER
-    return PairVerdict(m, n, s_m, s_n, kind, failures)
+    return PairVerdict(m, n, kind, s_m, s_n, failures)
 
 
 def check_betrothed(m: int, n: int) -> PairVerdict:
@@ -76,7 +76,7 @@ def check_betrothed(m: int, n: int) -> PairVerdict:
     s_n = aliquot_s(n)
     hit = not failures and s_m == n + 1 and s_n == m + 1
     kind = PairKind.BETROTHED if hit else PairKind.NEITHER
-    return PairVerdict(m, n, s_m, s_n, kind, failures)
+    return PairVerdict(m, n, kind, s_m, s_n, failures)
 
 
 def is_amicable_number(n: int) -> int | None:
@@ -214,12 +214,23 @@ def _prepare(limit: int, method: str) -> SieveTable | None:
     raise BadParameter(f"unknown search method {method!r}")
 
 
+def _facts(pairs) -> AuditResult:
+    """Parity and gcd facts over a list of pairs."""
+    gcds = [gcd(m, n) for m, n in pairs]
+    return AuditResult(
+        all_even=all(m % 2 == 0 and n % 2 == 0 for m, n in pairs),
+        min_gcd=min(gcds, default=0),
+        coprime_found=any(g == 1 for g in gcds),
+    )
+
+
 def _report(limit, pairs, table) -> SearchReport:
+    facts = _facts(pairs)
     return SearchReport(
         limit=limit,
         pairs=tuple(pairs),
-        all_even=all(m % 2 == 0 and n % 2 == 0 for m, n in pairs),
-        min_gcd=min((gcd(m, n) for m, n in pairs), default=0),
+        all_even=facts.all_even,
+        min_gcd=facts.min_gcd,
         oracle=Oracle.SIEVE if table is not None else Oracle.DIRECT,
     )
 
@@ -230,9 +241,4 @@ def audit(report: SearchReport) -> AuditResult:
     Everything is derived from the listed pairs themselves, never copied from
     the report's own flags, so this doubles as a consistency check.
     """
-    gcds = [gcd(m, n) for m, n in report.pairs]
-    return AuditResult(
-        all_even=all(m % 2 == 0 and n % 2 == 0 for m, n in report.pairs),
-        min_gcd=min(gcds, default=0),
-        coprime_found=any(g == 1 for g in gcds),
-    )
+    return _facts(report.pairs)

@@ -8,9 +8,13 @@ import pytest
 from amicable import (
     COPRIME_PRODUCT_SEARCH_BOUND,
     AliquotOutcome,
+    AliquotResult,
     EntryKind,
+    KnownEntry,
+    PairVerdict,
+    SearchReport,
+    SociableCycle,
     UnsupportedFormat,
-    aliquot_result_from_json,
     aliquot_sequence,
     borho_candidate,
     candidate_from_json,
@@ -19,13 +23,10 @@ from amicable import (
     euler_candidate,
     export_report,
     find_cycles,
+    from_json,
     known_catalog,
-    known_entries_from_json,
-    pair_verdict_from_json,
     search_amicable,
     search_betrothed,
-    search_report_from_json,
-    sociable_cycle_from_json,
     thabit_candidate,
     verify_catalog,
 )
@@ -135,7 +136,7 @@ def test_round_trip_random_search_reports():
     for _ in range(100):
         limit = rng.randrange(2, 2500)
         report = search_amicable(limit) if rng.random() < 0.7 else search_betrothed(limit)
-        assert search_report_from_json(export_report(report)) == report
+        assert from_json(export_report(report), SearchReport) == report
 
 
 def test_round_trip_other_report_kinds():
@@ -146,17 +147,17 @@ def test_round_trip_other_report_kinds():
         check_betrothed(220, 284),
     ]
     for v in verdicts:
-        assert pair_verdict_from_json(export_report(v)) == v
+        assert from_json(export_report(v), PairVerdict) == v
 
     rng = random.Random(999)
     for _ in range(40):
         r = aliquot_sequence(rng.randrange(1, 3000), max_steps=30, ceiling=10**9)
-        assert aliquot_result_from_json(export_report(r)) == r
+        assert from_json(export_report(r), AliquotResult) == r
 
     cycle = find_cycles(300, 2)[0]
-    assert sociable_cycle_from_json(export_report(cycle)) == cycle
+    assert from_json(export_report(cycle), SociableCycle) == cycle
 
-    assert known_entries_from_json(export_report(known_catalog())) == known_catalog()
+    assert from_json(export_report(known_catalog()), list[KnownEntry]) == known_catalog()
 
     for cand in (thabit_candidate(3), euler_candidate(2, 3), borho_candidate(3, 4, 1)):
         assert candidate_from_json(export_report(cand)) == cand

@@ -271,6 +271,38 @@ def test_csv_rejected_outside_pair_reports(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_generate_takes_format_only_after_the_rule(capsys):
+    # Given to `generate` itself, --format used to be overwritten by the rule
+    # subparser's default and the command silently printed text.
+    code, out, err = invoke(capsys, "generate", "--format", "json", "thabit", "--k", "1")
+    assert (code, out) == (2, "")
+    assert "amicable generate: error:" in err
+    code, out, _ = invoke(capsys, "generate", "thabit", "--k", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rule"] == "thabit"
+
+
+def test_parallel_accepted_only_by_searches(capsys):
+    for argv in (
+        ["sigma", "220"],
+        ["s", "220"],
+        ["classify", "12"],
+        ["check-pair", "220", "284"],
+        ["aliquot", "12"],
+        ["cycles", "--max", "300", "--max-len", "2"],
+        ["cycle-verify", "220,284"],
+        ["generate", "thabit", "--k", "1"],
+        ["generate", "euler", "--m", "1", "--n", "8"],
+        ["generate", "borho", "--a", "3", "--u", "4", "--n", "1"],
+        ["verify-known"],
+    ):
+        code, out, err = invoke(capsys, *argv, "--parallel")
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --parallel" in err, argv
+    for argv in (["search", "--max", "1300"], ["audit", "--max", "1300"]):
+        assert invoke(capsys, *argv, "--parallel")[:2] == invoke(capsys, *argv)[:2]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "amicable", "check-pair", "220", "284"],

@@ -2,8 +2,10 @@
 
 `data/cli_golden.json` lists argv, exit code and stdout for invocations of all
 11 subcommands in text, json and csv, including negative verdicts (exit 1)
-and usage, domain and format errors (exit 2). It was captured before the
-serialization and CLI emit code were rewritten, so it pins their bytes.
+and usage, domain and format errors (exit 2). It was captured from the CLI
+before its serialization and emit code were rewritten to one codec and one
+emit path, and pins their bytes: edit an entry only for an intended output
+change.
 """
 
 import json

@@ -61,6 +61,17 @@ def test_thabit_identity_holds_through_64():
         assert thabit_identity_check(k)
 
 
+def test_thabit_numbers_match_the_doubling_formulas():
+    # thabit_candidate runs Euler's rule at (k, k + 1); check it against
+    # p = 3*2^k - 1, q = 3*2^(k+1) - 1, r = 9*2^(2k+1) - 1 written out here.
+    for k in range(1, 65):
+        c = thabit_candidate(k)
+        assert (c.k, c.p, c.q) == (k, 3 * 2**k - 1, 3 * 2 ** (k + 1) - 1)
+        assert c.r == 9 * 2 ** (2 * k + 1) - 1
+        if c.pair is not None:
+            assert c.pair == (2 ** (k + 1) * c.p * c.q, 2 ** (k + 1) * c.r)
+
+
 def test_thabit_sigma_side_split():
     # sigma of the p*q member factors as sigma(2^(k+1)) * (p+1) * (q+1)
     for k in (1, 3, 6):
