@@ -19,6 +19,8 @@ codec that follows each report class's dataclass fields and their type hints
   back to pick the type.
 
 Plain dicts and lists of such values encode the same way (ints by value).
+Other dataclasses, and field hints outside these rules, raise
+UnsupportedFormat.
 Output is compact, hence byte-deterministic. `from_json(raw, cls)` is the
 inverse for any report class `cls` or `list[KnownEntry]`. CSV is defined for
 pair-shaped reports only (one row per pair, columns m,n,kind,gcd,parity).
@@ -36,10 +38,17 @@ from enum import Enum
 from functools import cache
 from math import gcd
 
-from .cycles import verify_cycle
+from .cycles import AliquotResult, SociableCycle, verify_cycle
+from .divisor import NumberClass
 from .errors import UnsupportedFormat
-from .generators import BorhoCandidate, EulerCandidate, ThabitCandidate, verify_pair_by_sigma
-from .pairs import PairKind, PairVerdict, SearchReport, check_amicable, check_betrothed
+from .generators import (
+    BorhoCandidate,
+    BorhoHypothesis,
+    EulerCandidate,
+    ThabitCandidate,
+    verify_pair_by_sigma,
+)
+from .pairs import AuditResult, PairKind, PairVerdict, SearchReport, check_amicable, check_betrothed
 
 # Exhaustive computational searches of the literature have pushed the least
 # possible member product of a coprime amicable pair beyond this bound.
@@ -135,6 +144,14 @@ def verify_catalog(entries: list[KnownEntry] | None = None) -> list[tuple[KnownE
 # candidate_from_json reads it back to choose the type.
 _RULES = {"thabit": ThabitCandidate, "euler": EulerCandidate, "borho": BorhoCandidate}
 
+# The classes the codec encodes as records. Other dataclasses are refused:
+# their hints need not mean what the rules say (Factorization's
+# (prime, exponent) factors are not {"m", "n"} pairs).
+_REPORTS = frozenset({
+    PairVerdict, SearchReport, AuditResult, AliquotResult, SociableCycle,
+    NumberClass, KnownEntry, BorhoHypothesis, *_RULES.values(),
+})
+
 
 @cache
 def _fields(cls: type) -> tuple[str | None, tuple[tuple[str, object], ...]]:
@@ -147,21 +164,23 @@ def _fields(cls: type) -> tuple[str | None, tuple[tuple[str, object], ...]]:
 @cache
 def _shape(hint) -> tuple[str, object]:
     """How values of a type hint are encoded: a shape name and its argument."""
-    args = typing.get_args(hint)
-    if type(None) in args:
+    args, origin = typing.get_args(hint), typing.get_origin(hint)
+    if type(None) in args and len(args) == 2:
         (inner,) = [arg for arg in args if arg is not type(None)]
         return "optional", inner
     if hint == tuple[int, int]:
         return "pair", None
-    if typing.get_origin(hint) in (tuple, list):
-        return typing.get_origin(hint).__name__, args[0]
-    if dataclasses.is_dataclass(hint):
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        return origin.__name__, args[0]
+    if hint in _REPORTS:
         return "record", hint
-    if issubclass(hint, Enum):
+    if isinstance(hint, type) and issubclass(hint, Enum):
         return "enum", hint
     if hint is int:
         return "int", None
-    return "plain", None
+    if hint in (bool, str):
+        return "plain", None
+    raise UnsupportedFormat(f"no serialization defined for {getattr(hint, '__name__', hint)}")
 
 
 def _encode(value, hint) -> object:
@@ -173,8 +192,6 @@ def _encode(value, hint) -> object:
     if shape == "pair":
         return {"m": str(value[0]), "n": str(value[1])}
     if shape in ("tuple", "list"):
-        if arg is int:  # same result as the loop below, for the bulk of every export
-            return list(map(str, value))
         return [_encode(item, arg) for item in value]
     if shape == "record":
         rule, fields = _fields(arg)
@@ -209,9 +226,10 @@ def to_jsonable(report) -> object:
     """The JSON-ready form of a report object, or of a dict or list holding them.
 
     Report objects are encoded by their field types; plain ints become
-    decimal strings and bools, strings and None pass through.
+    decimal strings and bools, strings and None pass through. Anything else,
+    other dataclasses included, raises UnsupportedFormat.
     """
-    if dataclasses.is_dataclass(report) and not isinstance(report, type):
+    if type(report) in _REPORTS:
         return _encode(report, type(report))
     if isinstance(report, dict):
         return {key: to_jsonable(value) for key, value in report.items()}

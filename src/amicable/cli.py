@@ -16,13 +16,7 @@ from .catalog import export_report, verify_catalog
 from .cycles import aliquot_sequence, find_cycles, verify_cycle
 from .divisor import aliquot_s, classify, sigma
 from .errors import ToolkitError
-from .generators import (
-    BorhoCandidate,
-    ThabitCandidate,
-    borho_candidate,
-    euler_candidate,
-    thabit_candidate,
-)
+from .generators import borho_candidate, euler_candidate, thabit_candidate
 from .pairs import PairKind, audit, check_amicable, check_betrothed, search_amicable, search_betrothed
 
 
@@ -202,39 +196,47 @@ def _describe_flag(value: int, flag: bool) -> str:
     return f"{value} ({'prime' if flag else 'composite'})"
 
 
-def _candidate_line(c) -> str:
-    """One text line for a Thabit, Euler or Borho candidate."""
-    if isinstance(c, BorhoCandidate):
-        head = f"a={c.a} u={c.u} n={c.n}: t={c.t}, p1={c.p1}, p2={c.p2}"
-        if c.degenerate_subtraction:
-            head += " (degenerate subtraction)"
-        if c.pair is None:
-            failed = [name for name, ok in asdict(c.hypothesis).items() if not ok]
-            head += "; failed: " + ", ".join(failed)
-    else:
-        lead = f"k={c.k}:" if isinstance(c, ThabitCandidate) else f"m={c.m} n={c.n}: a={c.a},"
-        head = (
-            f"{lead} p={_describe_flag(c.p, c.p_prime)}, "
-            f"q={_describe_flag(c.q, c.q_prime)}, r={_describe_flag(c.r, c.r_prime)}"
-        )
+def _verdict_tail(c) -> str:
+    """The shared end of a Thabit, Euler or Borho line: the pair's fate."""
     if c.pair is None:
-        return head + " -> rejected"
+        return " -> rejected"
     status = "verified" if c.verified else "NOT verified"
-    return head + f" -> pair ({c.pair[0]}, {c.pair[1]}) {status}"
+    return f" -> pair ({c.pair[0]}, {c.pair[1]}) {status}"
+
+
+def _pqr_line(lead: str, c) -> str:
+    """A Thabit or Euler line: its lead, the three primes p, q, r, the tail."""
+    return (
+        f"{lead} p={_describe_flag(c.p, c.p_prime)}, "
+        f"q={_describe_flag(c.q, c.q_prime)}, r={_describe_flag(c.r, c.r_prime)}"
+    ) + _verdict_tail(c)
+
+
+def _borho_line(c) -> str:
+    head = f"a={c.a} u={c.u} n={c.n}: t={c.t}, p1={c.p1}, p2={c.p2}"
+    if c.degenerate_subtraction:
+        head += " (degenerate subtraction)"
+    if c.pair is None:
+        failed = [name for name, ok in asdict(c.hypothesis).items() if not ok]
+        head += "; failed: " + ", ".join(failed)
+    return head + _verdict_tail(c)
 
 
 def _cmd_generate(args) -> int:
     if args.rule == "thabit" and args.k_max is not None:
         candidates = [thabit_candidate(k) for k in range(1, args.k_max + 1)]
-        _emit(args, candidates, [_candidate_line(c) for c in candidates])
+        _emit(args, candidates, [_pqr_line(f"k={c.k}:", c) for c in candidates])
         return 0 if any(c.verified for c in candidates) else 1
     if args.rule == "thabit":
         c = thabit_candidate(args.k)
+        line = _pqr_line(f"k={c.k}:", c)
     elif args.rule == "euler":
         c = euler_candidate(args.m, args.n)
+        line = _pqr_line(f"m={c.m} n={c.n}: a={c.a},", c)
     else:
         c = borho_candidate(args.a, args.u, args.n)
-    _emit(args, c, [_candidate_line(c)])
+        line = _borho_line(c)
+    _emit(args, c, [line])
     return 0 if c.verified else 1
 
 

@@ -22,7 +22,7 @@ never reach the primality gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import gcd
 
 from .divisor import sigma, sigma_brute
@@ -48,6 +48,20 @@ def _euler_numbers(m: int, n: int) -> tuple[int, int, int, int]:
     q = (1 << n) * a - 1
     r = (1 << (n + m)) * a * a - 1
     return a, p, q, r
+
+
+def _borho_numbers(a: int, u: int, n: int) -> tuple[int, int, int, int, bool]:
+    """(t, t**n, p1, p2, degenerate) of the breeder construction at (a, u, n)."""
+    if a < 1 or u < 1 or n < 1:
+        raise BadParameter("the breeder construction needs a, u, n >= 1")
+    t = sigma(u)
+    if t < u:
+        raise DegenerateSubtraction(f"sigma({u}) = {t} falls below u")
+    tn = t**n
+    p1 = tn * (u + 1) - 1
+    degenerate = t == u
+    p2 = 0 if degenerate else (p1 + 1) * (t - u) - 1
+    return t, tn, p1, p2, degenerate
 
 
 @dataclass(frozen=True)
@@ -127,15 +141,7 @@ class BorhoHypothesis:
 
     @property
     def satisfied(self) -> bool:
-        return (
-            self.breeder_amicable
-            and self.t_prime
-            and self.p1_prime
-            and self.p2_prime
-            and self.coprime_au_t
-            and self.coprime_au_p1
-            and self.coprime_a_p2
-        )
+        return all(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -161,16 +167,7 @@ def borho_candidate(a: int, u: int, n: int) -> BorhoCandidate:
     clamps to 0, the candidate is flagged degenerate, p1 and p2 skip the
     primality gate, and no pair is formed.
     """
-    if a < 1 or u < 1 or n < 1:
-        raise BadParameter("the breeder construction needs a, u, n >= 1")
-    t = sigma(u)
-    if t < u:
-        raise DegenerateSubtraction(f"sigma({u}) = {t} falls below u")
-    base = t**n * (u + 1)
-    p1 = base - 1
-    degenerate = t == u
-    p2 = 0 if degenerate else base * (t - u) - 1
-
+    t, tn, p1, p2, degenerate = _borho_numbers(a, u, n)
     hypothesis = BorhoHypothesis(
         breeder_amicable=check_amicable(a * u, a).kind is PairKind.AMICABLE,
         t_prime=is_prime(t),
@@ -183,7 +180,6 @@ def borho_candidate(a: int, u: int, n: int) -> BorhoCandidate:
     pair = None
     verified = False
     if not degenerate and hypothesis.satisfied:
-        tn = t**n
         pair = (a * u * tn * p1, a * tn * p2)
         verified = verify_pair_by_sigma(*pair)
     mode = prime_test_mode(max(t, p1, p2))
@@ -214,18 +210,9 @@ def borho_structure_check(a: int, u: int, n: int) -> bool:
     M = a*u*t**n*p1, N = a*t**n*p2. The cross-check recomputes t through
     divisor enumeration and the power t**n by repeated multiplication.
     """
-    if a < 1 or u < 1 or n < 1:
-        raise BadParameter("the breeder construction needs a, u, n >= 1")
-    t = sigma(u)
+    t, _, p1, p2, degenerate = _borho_numbers(a, u, n)
     if sigma_brute(u) != t:
         return False
-    if t < u:
-        raise DegenerateSubtraction(f"sigma({u}) = {t} falls below u")
-
-    base = t**n * (u + 1)
-    p1 = base - 1
-    degenerate = t == u
-    p2 = 0 if degenerate else base * (t - u) - 1
     M = a * u * t**n * p1
     N = a * t**n * p2
 

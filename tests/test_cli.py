@@ -195,6 +195,19 @@ def test_generate_borho(capsys):
     )
 
 
+def test_generate_unverified_pair_is_marked(capsys, monkeypatch):
+    # A constructed pair whose sigma re-check fails is still printed, marked NOT verified.
+    monkeypatch.setattr("amicable.generators.verify_pair_by_sigma", lambda m, n: False)
+    code, out, _ = invoke(capsys, "generate", "thabit", "--k", "1")
+    assert code == 1
+    assert out == (
+        "k=1: p=5 (prime), q=11 (prime), r=71 (prime) -> pair (220, 284) NOT verified\n"
+    )
+    code, out, _ = invoke(capsys, "generate", "euler", "--m", "1", "--n", "8")
+    assert code == 1
+    assert out.endswith(" -> pair (2172649216, 2181168896) NOT verified\n")
+
+
 def test_generate_json(capsys):
     code, out, _ = invoke(capsys, "generate", "thabit", "--k", "1", "--format", "json")
     assert code == 0

@@ -2,6 +2,7 @@
 that follow the field types rather than the values."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,10 @@ from amicable import (
     SociableCycle,
     ThabitCandidate,
     UnsupportedFormat,
+    build_sieve,
     candidate_from_json,
     export_report,
+    factorize,
     from_json,
     to_jsonable,
 )
@@ -148,3 +151,30 @@ def test_unknown_candidate_rule_rejected():
     for blob in (b'{"rule":"fermat"}', b'{"k":"1"}'):
         with pytest.raises(UnsupportedFormat):
             candidate_from_json(blob)
+
+
+@dataclass(frozen=True)
+class Tally:
+    counts: dict[str, int]
+
+
+@dataclass(frozen=True)
+class Measure:
+    n: int
+    ratio: float
+
+
+def test_other_dataclasses_are_refused():
+    # Only report classes are records: a dict or float field has no rule, and
+    # Factorization's (prime, exponent) factors are not {"m", "n"} pairs.
+    others = (Tally({"a": 1}), Measure(1, 0.5), factorize(12), build_sieve(10))
+    for value in others:
+        with pytest.raises(UnsupportedFormat, match="no serialization defined for"):
+            export_report(value)
+        with pytest.raises(UnsupportedFormat):
+            to_jsonable({"value": value})
+        with pytest.raises(UnsupportedFormat):
+            from_json(b"{}", type(value))
+    for raw, cls in ((b"{}", dict[str, int]), (b"0.5", float), (b"[]", tuple[int, str])):
+        with pytest.raises(UnsupportedFormat):
+            from_json(raw, cls)

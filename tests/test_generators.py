@@ -1,11 +1,13 @@
 """Generation rules: doubling, Euler's two-exponent rule, breeder construction."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
 
 from amicable import (
     BadParameter,
+    BorhoHypothesis,
     PairKind,
     borho_candidate,
     borho_structure_check,
@@ -151,6 +153,15 @@ def test_borho_worked_example_rejects():
     assert not c.hypothesis.satisfied
     assert c.pair is None and not c.verified
     assert not c.degenerate_subtraction
+
+
+def test_borho_hypothesis_needs_all_seven_conjuncts():
+    names = [f.name for f in fields(BorhoHypothesis)]
+    assert len(names) == 7
+    every = BorhoHypothesis(**dict.fromkeys(names, True))
+    assert every.satisfied
+    for name in names:
+        assert not replace(every, **{name: False}).satisfied
 
 
 def test_borho_breeder_guard_equal_members():
