@@ -284,15 +284,25 @@ def export_report(report, fmt: str = "json") -> bytes:
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 
+# Raised by malformed input while parsing (JSONDecodeError is a ValueError) or decoding
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
 def from_json(raw: bytes | str, cls):
     """Rebuild a report exported as JSON; `cls` is its class or `list[KnownEntry]`."""
-    return _decode(json.loads(raw), cls)
+    try:
+        return _decode(json.loads(raw), cls)
+    except _MALFORMED as exc:
+        raise UnsupportedFormat(f"malformed JSON: {exc!r}") from exc
 
 
 def candidate_from_json(raw: bytes | str):
     """Rebuild a generator candidate; the 'rule' field picks the type."""
-    data = json.loads(raw)
-    rule = data.get("rule")
-    if rule not in _RULES:
-        raise UnsupportedFormat(f"unknown candidate rule {rule!r}")
-    return _decode(data, _RULES[rule])
+    try:
+        data = json.loads(raw)
+        rule = data.get("rule")
+        if rule not in _RULES:
+            raise UnsupportedFormat(f"unknown candidate rule {rule!r}")
+        return _decode(data, _RULES[rule])
+    except _MALFORMED as exc:
+        raise UnsupportedFormat(f"malformed candidate JSON: {exc!r}") from exc

@@ -57,39 +57,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sigma", parents=[common], help="divisor sum of N")
+    def command(name, handler, parents, summary):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("sigma", _cmd_divisor_sum, [common], "divisor sum of N")
     p.add_argument("n", type=_nat)
 
-    p = sub.add_parser("s", parents=[common], help="proper-divisor sum of N")
+    p = command("s", _cmd_divisor_sum, [common], "proper-divisor sum of N")
     p.add_argument("n", type=_nat)
 
-    p = sub.add_parser("classify", parents=[common], help="deficient, perfect, or abundant")
+    p = command("classify", _cmd_classify, [common], "deficient, perfect, or abundant")
     p.add_argument("n", type=_nat)
 
-    p = sub.add_parser("check-pair", parents=[common], help="test a pair of numbers")
+    p = command("check-pair", _cmd_check_pair, [common], "test a pair of numbers")
     p.add_argument("m", type=_nat)
     p.add_argument("n", type=_nat)
     p.add_argument("--betrothed", action="store_true", help="test the betrothed condition")
 
-    p = sub.add_parser("search", parents=[searching], help="find all pairs up to a limit")
+    p = command("search", _cmd_search, [searching], "find all pairs up to a limit")
     p.add_argument("--max", type=_nat, required=True, dest="limit")
     p.add_argument("--betrothed", action="store_true", help="search betrothed pairs")
 
-    p = sub.add_parser("aliquot", parents=[common], help="iterate the aliquot sequence")
+    p = command("aliquot", _cmd_aliquot, [common], "iterate the aliquot sequence")
     p.add_argument("n", type=_nat)
     p.add_argument("--max-steps", type=_nat, default=100)
     p.add_argument("--ceiling", type=_nat, default=10**15)
 
-    p = sub.add_parser("cycles", parents=[common], help="search sociable cycles")
+    p = command("cycles", _cmd_cycles, [common], "search sociable cycles")
     p.add_argument("--max", type=_nat, required=True, dest="limit")
     p.add_argument("--max-len", type=_nat, required=True)
 
-    p = sub.add_parser("cycle-verify", parents=[common], help="verify a claimed cycle")
+    p = command("cycle-verify", _cmd_cycle_verify, [common], "verify a claimed cycle")
     p.add_argument("members", type=_member_list, help="comma-separated members, in order")
 
     # Only the rule subparsers take --format: an option given to `generate`
     # itself would be overwritten by the rule subparser's default.
-    p = sub.add_parser("generate", help="run a generation rule")
+    p = command("generate", _cmd_generate, [], "run a generation rule")
     rule = p.add_subparsers(dest="rule", required=True)
 
     g = rule.add_parser("thabit", parents=[common], help="doubling rule")
@@ -106,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--u", type=_nat, required=True)
     g.add_argument("--n", type=_nat, required=True)
 
-    sub.add_parser("verify-known", parents=[common], help="re-verify the built-in catalog")
+    command("verify-known", _cmd_verify_known, [common], "re-verify the built-in catalog")
 
-    p = sub.add_parser("audit", parents=[searching], help="search then audit parity and gcds")
+    p = command("audit", _cmd_audit, [searching], "search then audit parity and gcds")
     p.add_argument("--max", type=_nat, required=True, dest="limit")
 
     return parser
@@ -263,21 +268,6 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "sigma": _cmd_divisor_sum,
-    "s": _cmd_divisor_sum,
-    "classify": _cmd_classify,
-    "check-pair": _cmd_check_pair,
-    "search": _cmd_search,
-    "aliquot": _cmd_aliquot,
-    "cycles": _cmd_cycles,
-    "cycle-verify": _cmd_cycle_verify,
-    "generate": _cmd_generate,
-    "verify-known": _cmd_verify_known,
-    "audit": _cmd_audit,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -286,7 +276,7 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -148,13 +148,12 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
         index = {start: 0}
         current = start
         for _ in range(max_len):
-            nxt = s_values[current] if current <= limit else lookup(current, aliquot_s)
+            nxt = s_values[current] if current <= limit else lookup(current)
             if nxt == current or nxt == 0 or nxt > bound:
                 break
             if nxt in index:
-                cycle = path[index[nxt]:]
-                if len(cycle) >= 2:
-                    found.add(_canonical(cycle))
+                # nxt != current, so the cycle has at least two members
+                found.add(_canonical(path[index[nxt]:]))
                 break
             index[nxt] = len(path)
             path.append(nxt)

@@ -4,16 +4,16 @@ Three routes to the divisor sum are kept side by side on purpose: `sigma`
 multiplies geometric-series terms off the factorization, `sigma_brute`
 enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
 range by multiplying in sigma(p**e) for every prime power, since sigma is
-multiplicative. `SieveTable.s` extends a table past its limit by stripping
-small prime powers until the cofactor is tabulated or prime. Searches
-computed with the sieve re-verify their hits through the brute route, so a
-defect in one path cannot silently corrupt results.
+multiplicative. `SieveTable.s`, the one s-value engine of searches and cycle
+walks, extends a table past its limit by stripping small prime powers until
+the cofactor is tabulated or prime, and factorizes only a cofactor that is
+neither. Searches re-verify their hits through the brute route, so a defect
+in one path cannot silently corrupt results.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -21,7 +21,7 @@ from math import isqrt
 from operator import floordiv, mul, sub
 
 from .errors import BadParameter, LimitTooLarge, ZeroInput
-from .numeric import _TRIAL_LIMIT, _TRIAL_PRIMES, _sieve_primes, factorize, is_prime
+from .numeric import _TRIAL_PRIMES, _rough_is_prime, _sieve_primes, factorize
 
 __all__ = [
     "sigma",
@@ -45,8 +45,8 @@ SIEVE_BUDGET_ENV = "AMICABLE_SIEVE_BUDGET"
 def sigma(n: int) -> int:
     """Sum of all positive divisors of n, with sigma(0) = 0 by convention.
 
-    Each prime power contributes 1 + p + ... + p**e, accumulated by repeated
-    multiplication rather than the closed-form quotient.
+    Each prime power contributes 1 + p + ... + p**e, accumulated by Horner's
+    rule (term * p + 1, e times) rather than the closed-form quotient.
     """
     if n < 0:
         raise BadParameter("sigma expects a nonnegative integer")
@@ -55,10 +55,8 @@ def sigma(n: int) -> int:
     total = 1
     for p, e in factorize(n).factors:
         term = 1
-        power = 1
         for _ in range(e):
-            power *= p
-            term += power
+            term = term * p + 1
         total *= term
     return total
 
@@ -100,15 +98,15 @@ class SieveTable:
     limit: int
     s_values: list[int]
 
-    def s(self, n: int, fallback: Callable[[int], int] = aliquot_s) -> int:
+    def s(self, n: int) -> int:
         """s(n) for any n >= 0, equal to `aliquot_s(n)`.
 
         Up to the limit this reads the table. Beyond it, prime powers p**e with
         p < 1000 are divided out of n until the cofactor is tabulated or
         proven prime; s(n) is then the product of their sigma values, times
         the cofactor's, minus n. Only when neither happens (the cofactor has
-        two or more prime factors above 1000) is `fallback(n)` called; callers
-        pass their own `aliquot_s` name so that wrapping it sees these calls.
+        two or more prime factors above 1000) is the cofactor factorized, and
+        its sigma taken from that.
         """
         s_values = self.s_values
         limit = self.limit
@@ -130,10 +128,18 @@ class SieveTable:
                 known *= term
                 if rest <= limit:
                     return known * (s_values[rest] + rest) - n
-        # rest has no prime factor below 1000, so below 1000**2 it is prime
-        if rest < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
+        if _rough_is_prime(rest):
             return known * (rest + 1) - n
-        return fallback(n)
+        return known * sigma(rest) - n
+
+
+def _check_budget(limit: int, budget: int | None = None) -> None:
+    """Raise LimitTooLarge when limit + 1 table entries exceed the budget."""
+    if budget is None:
+        env = os.environ.get(SIEVE_BUDGET_ENV)
+        budget = int(env) if env else DEFAULT_SIEVE_BUDGET
+    if limit + 1 > budget:
+        raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}")
 
 
 def build_sieve(limit: int, budget: int | None = None) -> SieveTable:
@@ -152,13 +158,7 @@ def build_sieve(limit: int, budget: int | None = None) -> SieveTable:
     """
     if limit < 1:
         raise BadParameter("sieve limit must be at least 1")
-    if budget is None:
-        env = os.environ.get(SIEVE_BUDGET_ENV)
-        budget = int(env) if env else DEFAULT_SIEVE_BUDGET
-    if limit + 1 > budget:
-        raise LimitTooLarge(
-            f"sieve of {limit + 1} entries exceeds the budget of {budget}"
-        )
+    _check_budget(limit, budget)
     sig = [1] * (limit + 1)
     for p in _sieve_primes(limit):
         q, term, prev = p, p + 1, 1

@@ -27,8 +27,9 @@ __all__ = [
 # Below this bound the fixed witness set is a proven primality test.
 PRIME_DETERMINISTIC_BOUND = 1 << 64
 
-# The first twelve primes decide primality for every n < 3.3 * 10**24
-# (Sorenson and Webster), comfortably covering the full 64-bit range.
+# The first twelve primes decide primality for every n < 318665857834031151167461
+# ~ 3.18 * 10**23 (Sorenson and Webster; 3.3 * 10**24 needs base 41 as well),
+# comfortably covering the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -213,14 +214,19 @@ def _brent_factor(n: int) -> int:
         c += 1
 
 
+def _rough_is_prime(v: int) -> bool:
+    # v > 1 is prime or has no prime factor below _TRIAL_LIMIT, so below _TRIAL_LIMIT**2 it is prime
+    return v < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v)
+
+
 def _split_rough(n: int, counts: dict[int, int]) -> None:
-    # n has no prime factor below _TRIAL_LIMIT
+    # n is 1, prime, or free of prime factors below _TRIAL_LIMIT
     stack = [n]
     while stack:
         v = stack.pop()
         if v == 1:
             continue
-        if v < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v):
+        if _rough_is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
         d = _brent_factor(v)
@@ -242,8 +248,6 @@ def factorize(n: int) -> Factorization:
         raise BadParameter("factorize expects a nonnegative integer")
     if n == 0:
         raise ZeroInput("0 has no prime factorization")
-    if n == 1:
-        return Factorization((), 1)
     counts: dict[int, int] = {}
     rem = n
     for p in _TRIAL_PRIMES:
@@ -252,9 +256,5 @@ def factorize(n: int) -> Factorization:
         while rem % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
-    if rem > 1:
-        if rem < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rem):
-            counts[rem] = counts.get(rem, 0) + 1
-        else:
-            _split_rough(rem, counts)
+    _split_rough(rem, counts)
     return Factorization(tuple(sorted(counts.items())), n)

@@ -2,8 +2,8 @@
 
 A pair (m, n) is amicable when s(m) = n and s(n) = m with m != n, and
 betrothed when s(m) = n + 1 and s(n) = m + 1. Searches anchor on the smaller
-member m <= limit; the partner may lie beyond the limit. Every hit found
-through the sieve is re-verified against `sigma_brute` before it is reported;
+member m <= limit in one `SieveTable`, whose `s` looks up partners beyond the
+limit. Every hit is re-verified against `sigma_brute` before it is reported;
 a disagreement raises VerificationFailed, which `python -O` does not remove.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .divisor import SieveTable, aliquot_s, build_sieve, sigma_brute
+from .divisor import SieveTable, _check_budget, aliquot_s, build_sieve, sigma_brute
 from .errors import BadParameter, VerificationFailed
 
 
@@ -59,24 +59,23 @@ def _guards(m: int, n: int) -> tuple[GuardFailure, ...]:
     return tuple(failures)
 
 
-def check_amicable(m: int, n: int) -> PairVerdict:
-    """Check s(m) = n and s(n) = m. Guard failures force Neither."""
+def _check(m: int, n: int, shift: int, kind: PairKind) -> PairVerdict:
+    """Check s(m) = n + shift and s(n) = m + shift. Guard failures force Neither."""
     failures = _guards(m, n)
     s_m = aliquot_s(m)
     s_n = aliquot_s(n)
-    hit = not failures and s_m == n and s_n == m
-    kind = PairKind.AMICABLE if hit else PairKind.NEITHER
-    return PairVerdict(m, n, kind, s_m, s_n, failures)
+    hit = not failures and s_m == n + shift and s_n == m + shift
+    return PairVerdict(m, n, kind if hit else PairKind.NEITHER, s_m, s_n, failures)
+
+
+def check_amicable(m: int, n: int) -> PairVerdict:
+    """Check s(m) = n and s(n) = m. Guard failures force Neither."""
+    return _check(m, n, 0, PairKind.AMICABLE)
 
 
 def check_betrothed(m: int, n: int) -> PairVerdict:
     """Check s(m) = n + 1 and s(n) = m + 1. Guard failures force Neither."""
-    failures = _guards(m, n)
-    s_m = aliquot_s(m)
-    s_n = aliquot_s(n)
-    hit = not failures and s_m == n + 1 and s_n == m + 1
-    kind = PairKind.BETROTHED if hit else PairKind.NEITHER
-    return PairVerdict(m, n, kind, s_m, s_n, failures)
+    return _check(m, n, 1, PairKind.BETROTHED)
 
 
 def is_amicable_number(n: int) -> int | None:
@@ -113,30 +112,24 @@ class AuditResult:
     coprime_found: bool
 
 
-# Sieve table handed to forked workers via the pool initializer.
+# Table handed to forked workers via the pool initializer.
 _WORKER_TABLE: SieveTable | None = None
 
 
-def _worker_init(table: SieveTable | None) -> None:
+def _worker_init(table: SieveTable) -> None:
     global _WORKER_TABLE
     _WORKER_TABLE = table
 
 
-def _scan(lo: int, hi: int, table: SieveTable | None, shift: int) -> list[tuple[int, int]]:
+def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, int]]:
     """Pairs (m, n) with lo <= m < hi, m < n, s(m) = n + shift and s(n) = m + shift."""
     found = []
-    if table is None:
-        for m in range(lo, hi):
-            n = aliquot_s(m) - shift
-            if n > m and aliquot_s(n) == m + shift:
-                found.append((m, n))
-        return found
     s_values = table.s_values
     limit = table.limit
     lookup = table.s
     for m in range(lo, hi):
         n = s_values[m] - shift
-        if n > m and (s_values[n] if n <= limit else lookup(n, aliquot_s)) == m + shift:
+        if n > m and (s_values[n] if n <= limit else lookup(n)) == m + shift:
             found.append((m, n))
     return found
 
@@ -161,13 +154,22 @@ def _run_scan(limit, table, shift, parallel, workers):
 
 
 def _search(limit, shift, method, parallel, workers) -> SearchReport:
-    table = _prepare(limit, method)
+    if limit < 2:
+        raise BadParameter("search limit must be at least 2")
+    if method == "sieve":
+        table = build_sieve(limit)
+    elif method == "direct":
+        _check_budget(limit)
+        table = SieveTable(limit, list(map(aliquot_s, range(limit + 1))))
+    else:
+        raise BadParameter(f"unknown search method {method!r}")
     pairs = sorted(set(_run_scan(limit, table, shift, parallel, workers)))
     for m, n in pairs:
         # sigma(m) = sigma(n) = m + n + shift restates both scan conditions
         if sigma_brute(m) != m + n + shift or sigma_brute(n) != m + n + shift:
             raise VerificationFailed(f"oracle disagreement on candidate pair ({m}, {n})")
-    return _report(limit, pairs, table)
+    facts = _facts(pairs)
+    return SearchReport(limit, tuple(pairs), facts.all_even, facts.min_gcd, Oracle[method.upper()])
 
 
 def search_amicable(
@@ -179,10 +181,10 @@ def search_amicable(
 ) -> SearchReport:
     """All amicable pairs (m, n) with m < n and m <= limit.
 
-    method 'sieve' tabulates s once and looks partners up (`SieveTable.s`
-    extends the table past the limit); 'direct' computes every s-value
-    from the factorization. Both re-verify each hit with sigma_brute and
-    raise VerificationFailed on a disagreement.
+    The scan reads one table, filled by `build_sieve` (method 'sieve') or by
+    `aliquot_s` of every index ('direct'), within the sieve budget. Each hit
+    is re-verified with sigma_brute, raising VerificationFailed on a
+    disagreement.
     `parallel` partitions the scan range across processes; the merged result
     is sorted, so output does not depend on scheduling.
     """
@@ -204,16 +206,6 @@ def search_betrothed(
     return _search(limit, 1, method, parallel, workers)
 
 
-def _prepare(limit: int, method: str) -> SieveTable | None:
-    if limit < 2:
-        raise BadParameter("search limit must be at least 2")
-    if method == "sieve":
-        return build_sieve(limit)
-    if method == "direct":
-        return None
-    raise BadParameter(f"unknown search method {method!r}")
-
-
 def _facts(pairs) -> AuditResult:
     """Parity and gcd facts over a list of pairs."""
     gcds = [gcd(m, n) for m, n in pairs]
@@ -221,17 +213,6 @@ def _facts(pairs) -> AuditResult:
         all_even=all(m % 2 == 0 and n % 2 == 0 for m, n in pairs),
         min_gcd=min(gcds, default=0),
         coprime_found=any(g == 1 for g in gcds),
-    )
-
-
-def _report(limit, pairs, table) -> SearchReport:
-    facts = _facts(pairs)
-    return SearchReport(
-        limit=limit,
-        pairs=tuple(pairs),
-        all_even=facts.all_even,
-        min_gcd=facts.min_gcd,
-        oracle=Oracle.SIEVE if table is not None else Oracle.DIRECT,
     )
 
 

@@ -178,3 +178,28 @@ def test_other_dataclasses_are_refused():
     for raw, cls in ((b"{}", dict[str, int]), (b"0.5", float), (b"[]", tuple[int, str])):
         with pytest.raises(UnsupportedFormat):
             from_json(raw, cls)
+
+
+VERDICT = '"m":"1","n":"2","s_m":"0","s_n":"0","guard_failures":[]'
+
+
+@pytest.mark.parametrize(
+    "decode, raw",
+    [
+        (candidate_from_json, b"[1]"),
+        (candidate_from_json, b'{"rule":"thabit"}'),
+        (lambda raw: from_json(raw, PairVerdict), b'{"m":"1"}'),
+        (lambda raw: from_json(raw, PairVerdict), b"not json"),
+        (lambda raw: from_json(raw, PairVerdict), ('{"kind":"Bogus",' + VERDICT + "}").encode()),
+        (
+            lambda raw: from_json(raw, SearchReport),
+            b'{"limit":"x","pairs":[],"all_even":true,"min_gcd":"0","oracle":"Sieve"}',
+        ),
+    ],
+    ids=["list", "missing-field", "missing-member", "not-json", "unknown-kind", "bad-int"],
+)
+def test_malformed_json_raises_unsupported_format(decode, raw):
+    with pytest.raises(UnsupportedFormat, match="malformed") as caught:
+        decode(raw)
+    # the original error stays attached as the cause
+    assert isinstance(caught.value.__cause__, (AttributeError, KeyError, ValueError))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amicable.divisor
 from amicable import (
     BadParameter,
     Classification,
@@ -180,17 +181,18 @@ def test_table_lookup_inside_limit_reads_table():
         table.s(-1)
 
 
-def test_table_lookup_explicit_cases():
+def test_table_lookup_explicit_cases(monkeypatch):
     limit = 1000
     table = build_sieve(limit)
     calls = []
+    factorize = amicable.divisor.factorize
 
-    def fallback(n):
+    def recorder(n):
         calls.append(n)
-        return aliquot_s(n)
+        return factorize(n)
 
-    def lookup(n):
-        return table.s(n, fallback)
+    monkeypatch.setattr(amicable.divisor, "factorize", recorder)
+    lookup = table.s
 
     assert lookup(limit + 1) == sigma_oracle(limit + 1) - (limit + 1)
     for p in primes_above(limit, 8) + primes_above(10**6, 4):
@@ -205,11 +207,11 @@ def test_table_lookup_explicit_cases():
     assert lookup(3 * m89) == 4 * (m89 + 1) - 3 * m89
     assert calls == []
 
-    # cofactors with two prime factors above 1000: only these fall back
+    # cofactors with two prime factors above 1000: only these are factorized
     rough = [1009 * 1013, 1009**2, 2 * 1009 * 1013, 12 * 1013 * 1019, 1009 * 1013 * 1019]
     for n in rough:
         assert lookup(n) == sigma_oracle(n) - n
-    assert calls == rough
+    assert calls == [1009 * 1013, 1009**2, 1009 * 1013, 1013 * 1019, 1009 * 1013 * 1019]
 
 
 def test_classify_frozen_examples():

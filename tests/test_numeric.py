@@ -14,6 +14,7 @@ from amicable import (
     gcd,
     is_prime,
     prime_test_mode,
+    sigma,
 )
 
 
@@ -69,10 +70,37 @@ def test_is_prime_agrees_with_trial_division_to_1e5():
         assert is_prime(n) == trial_division_is_prime(n), n
 
 
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, a):
+    # one Miller-Rabin round, written fresh here rather than imported
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def test_is_prime_strong_pseudoprimes_rejected():
     # strong pseudoprimes to small bases; all composite
     for n in (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 52633, 3215031751):
         assert not is_prime(n), n
+    # below 2**64, passes every base but 37
+    assert [a for a in MR_BASES if not strong_probable_prime(3825123056546413051, a)] == [37]
+    assert not is_prime(3825123056546413051)
+    # the least composites that pass the first twelve and the first thirteen prime
+    # bases: only the strong Lucas stage rejects them
+    for n in (318665857834031151167461, 3317044064679887385961981):
+        assert all(strong_probable_prime(n, a) for a in MR_BASES), n
+        assert not is_prime(n), n
+    assert 318665857834031151167461 == 399165290221 * 798330580441
 
 
 def test_is_prime_large_values_against_independent_oracle():
@@ -88,6 +116,15 @@ def test_is_prime_large_perfect_squares():
     for p in (4294967311, 4294967357, 4294967371):
         assert is_prime(p)
         assert not is_prime(p * p)
+
+
+def test_is_prime_and_sigma_around_the_regime_switch():
+    # every odd n within 1000 of 2**64, where is_prime switches regimes
+    odd = range(2**64 - 999, 2**64 + 1001, 2)
+    for n in odd:
+        assert is_prime(n) == sympy.isprime(n), n
+    for n in odd[::28]:
+        assert sigma(n) == sympy.divisor_sigma(n), n
 
 
 def test_prime_test_mode_boundary():

@@ -9,6 +9,7 @@ from amicable import (
     BadParameter,
     Classification,
     GuardFailure,
+    LimitTooLarge,
     Oracle,
     PairKind,
     audit,
@@ -206,13 +207,17 @@ def test_search_engines_agree_at_20000(search):
     assert len(sieve.pairs) == 8
 
 
-def test_search_rejects_tiny_limits_and_bad_method():
+def test_search_rejects_tiny_limits_and_bad_method(monkeypatch):
     with pytest.raises(BadParameter):
         search_amicable(1)
     with pytest.raises(BadParameter):
         search_betrothed(0)
     with pytest.raises(BadParameter):
         search_amicable(100, method="guess")
+    # the direct table is held to the same budget as the sieve
+    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "100")
+    with pytest.raises(LimitTooLarge):
+        search_amicable(1000, method="direct")
 
 
 def test_audit_fields():
