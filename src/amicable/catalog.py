@@ -22,7 +22,10 @@ Plain dicts and lists of such values encode the same way (ints by value).
 Other dataclasses, and field hints outside these rules, raise
 UnsupportedFormat.
 Output is compact, hence byte-deterministic. `from_json(raw, cls)` is the
-inverse for any report class `cls` or `list[KnownEntry]`. CSV is defined for
+inverse for any report class `cls` or `list[KnownEntry]`, and accepts only
+what the encoder writes: an int field must hold a decimal string, a bool or
+str field a JSON bool or string, a sequence field a JSON list; anything else
+raises UnsupportedFormat. CSV is defined for
 pair-shaped reports only (one row per pair, columns m,n,kind,gcd,parity).
 """
 
@@ -32,6 +35,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -140,6 +144,9 @@ def verify_catalog(entries: list[KnownEntry] | None = None) -> list[tuple[KnownE
 # on first use and cached per class, so one encoder and one decoder serve
 # every report type.
 
+# What the encoder writes for an int: ASCII digits with an optional minus sign.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 # The candidate types carry a leading "rule" key naming their generator;
 # candidate_from_json reads it back to choose the type.
 _RULES = {"thabit": ThabitCandidate, "euler": EulerCandidate, "borho": BorhoCandidate}
@@ -204,21 +211,33 @@ def _encode(value, hint) -> object:
     return value
 
 
+def _decode_int(data) -> int:
+    """An int from the encoder's decimal string; other JSON values are refused."""
+    if not (isinstance(data, str) and _DECIMAL.fullmatch(data)):
+        raise ValueError(f"expected a decimal string, got {data!r}")
+    return int(data)
+
+
 def _decode(data, hint) -> object:
     shape, arg = _shape(hint)
     if shape == "optional":
         return None if data is None else _decode(data, arg)
+    if shape == "int":
+        return _decode_int(data)
     if shape == "pair":
-        return (int(data["m"]), int(data["n"]))
-    if shape == "tuple":
-        return tuple(_decode(item, arg) for item in data)
-    if shape == "list":
-        return [_decode(item, arg) for item in data]
+        return (_decode_int(data["m"]), _decode_int(data["n"]))
+    if shape in ("tuple", "list"):
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list, got {data!r}")
+        items = [_decode(item, arg) for item in data]
+        return tuple(items) if shape == "tuple" else items
     if shape == "record":
         _, fields = _fields(arg)
         return arg(**{name: _decode(data[name], field_hint) for name, field_hint in fields})
-    if shape in ("enum", "int"):
+    if shape == "enum":
         return hint(data)
+    if not isinstance(data, hint):
+        raise ValueError(f"expected {hint.__name__}, got {data!r}")
     return data
 
 

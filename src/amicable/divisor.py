@@ -4,11 +4,13 @@ Three routes to the divisor sum are kept side by side on purpose: `sigma`
 multiplies geometric-series terms off the factorization, `sigma_brute`
 enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
 range by multiplying in sigma(p**e) for every prime power, since sigma is
-multiplicative. `SieveTable.s`, the one s-value engine of searches and cycle
-walks, extends a table past its limit by stripping small prime powers until
-the cofactor is tabulated or prime, and factorizes only a cofactor that is
-neither. Searches re-verify their hits through the brute route, so a defect
-in one path cannot silently corrupt results.
+multiplicative. The sieve fills a Python list, or an int64 numpy array when
+the caller asks for one and numpy imports; only the pair searches ask, so
+only they import numpy. `SieveTable.s`, the one s-value engine of searches
+and cycle walks, extends a table past its limit by stripping small prime
+powers until the cofactor is tabulated or prime, and factorizes only a
+cofactor that is neither. Searches re-verify their hits through the brute
+route, so a defect in one path cannot silently corrupt results.
 """
 
 from __future__ import annotations
@@ -93,7 +95,11 @@ _CHUNK = 1 << 16
 
 @dataclass
 class SieveTable:
-    """Aliquot sums for every index up to `limit`; treat as read-only."""
+    """Aliquot sums for every index up to `limit`; treat as read-only.
+
+    `s_values` is a list of ints, or an int64 numpy array when built by
+    `build_sieve(limit, array=True)`; `s` returns a Python int for both.
+    """
 
     limit: int
     s_values: list[int]
@@ -113,7 +119,7 @@ class SieveTable:
         if n <= limit:
             if n < 0:
                 raise BadParameter("s expects a nonnegative integer")
-            return s_values[n]
+            return int(s_values[n])
         known = 1  # sigma of the prime powers divided out so far
         rest = n
         for p in _TRIAL_PRIMES:
@@ -127,7 +133,7 @@ class SieveTable:
                     term = term * p + 1
                 known *= term
                 if rest <= limit:
-                    return known * (s_values[rest] + rest) - n
+                    return known * (int(s_values[rest]) + rest) - n
         if _rough_is_prime(rest):
             return known * (rest + 1) - n
         return known * sigma(rest) - n
@@ -142,7 +148,7 @@ def _check_budget(limit: int, budget: int | None = None) -> None:
         raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}")
 
 
-def build_sieve(limit: int, budget: int | None = None) -> SieveTable:
+def build_sieve(limit: int, budget: int | None = None, *, array: bool = False) -> SieveTable:
     """Tabulate s(n) for all n <= limit with a multiplicative prime-power sieve.
 
     Every slot starts at 1. For each prime p and each power q = p**e <= limit,
@@ -153,12 +159,22 @@ def build_sieve(limit: int, budget: int | None = None) -> SieveTable:
     multiplied in, so it is exact. Since sigma is multiplicative, slot n then
     holds sigma(n), and n is subtracted slice by slice. Slots 0 and 1 hold 0.
     The slice arithmetic runs inside `map`, not in a Python-level loop.
-    Raises LimitTooLarge when limit + 1 entries exceed the budget (default
-    2**31, or the AMICABLE_SIEVE_BUDGET variable).
+
+    With `array=True` the table is an int64 numpy array filled by
+    `_array_sieve`, or the list above when numpy does not import. Raises
+    LimitTooLarge when limit + 1 entries exceed the budget (default 2**31, or
+    the AMICABLE_SIEVE_BUDGET variable), whichever storage is chosen.
     """
     if limit < 1:
         raise BadParameter("sieve limit must be at least 1")
     _check_budget(limit, budget)
+    if array:
+        try:
+            import numpy
+        except ImportError:
+            pass
+        else:
+            return SieveTable(limit, _array_sieve(numpy, limit))
     sig = [1] * (limit + 1)
     for p in _sieve_primes(limit):
         q, term, prev = p, p + 1, 1
@@ -173,6 +189,45 @@ def build_sieve(limit: int, budget: int | None = None) -> SieveTable:
         sig[lo:hi] = map(sub, sig[lo:hi], range(lo, hi))
     sig[0] = 0
     return SieveTable(limit, sig)
+
+
+def _array_sieve(np, limit: int):
+    """The prime-power sieve of `build_sieve` on an int64 array.
+
+    Primes up to sqrt(limit) take the list sieve's passes, except that a
+    power's slots are divided by sigma(p**(e-1)) before they are multiplied by
+    sigma(p**e): every slot then holds a product of sigma(p**j) over some of
+    its own prime powers, so no intermediate value exceeds sigma(n). After
+    those passes a slot above sqrt(limit) still holding 1 has no prime factor
+    up to sqrt(limit), so it is a prime. Such a prime p divides a slot n at
+    most once (p * p > limit), and n = k * p with k < p, so one fancy-indexed
+    update per cofactor k multiplies every p <= limit // k into its slot k * p:
+    about sqrt(limit) array operations in all, not one per prime.
+
+    int64 is exact because sigma(n) < 7n for every n below 2**58 (Robin's
+    unconditional bound sigma(n) < n (e**gamma ln ln n + 0.6483 / ln ln n)),
+    and a table reaching 2**58 would need 2**61 bytes; under the default
+    budget of 2**31 entries sigma(n) stays below 6 * 2**31 < 2**34.
+    """
+    sig = np.ones(limit + 1, dtype=np.int64)
+    root = isqrt(limit)
+    for p in _sieve_primes(root):
+        q, term, prev = p, p + 1, 1
+        while q <= limit:
+            view = sig[q::q]
+            if prev != 1:
+                view //= prev
+            view *= term
+            q, term, prev = q * p, term * p + 1, term
+    primes = np.flatnonzero(sig[root + 1 :] == 1) + (root + 1)
+    for k in range(1, limit // (root + 1) + 1):
+        ps = primes[: np.searchsorted(primes, limit // k, side="right")]
+        sig[k * ps] *= ps + 1
+    for lo in range(0, limit + 1, _CHUNK):
+        hi = min(lo + _CHUNK, limit + 1)
+        sig[lo:hi] -= np.arange(lo, hi, dtype=np.int64)
+    sig[0] = 0
+    return sig
 
 
 class Classification(str, Enum):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .divisor import SieveTable, _check_budget, aliquot_s, build_sieve, sigma_brute
+from .divisor import _CHUNK, SieveTable, _check_budget, aliquot_s, build_sieve, sigma_brute
 from .errors import BadParameter, VerificationFailed
 
 
@@ -122,15 +122,35 @@ def _worker_init(table: SieveTable) -> None:
 
 
 def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, int]]:
-    """Pairs (m, n) with lo <= m < hi, m < n, s(m) = n + shift and s(n) = m + shift."""
-    found = []
+    """Pairs (m, n) with lo <= m < hi, m < n, s(m) = n + shift and s(n) = m + shift.
+
+    On an array-backed table the in-table test runs vectorized over blocks of
+    at most _CHUNK values of m, so temporaries stay a few blocks' worth, and
+    only partners past the limit go to `table.s` one by one. On a list-backed
+    table the loop reads the list directly. Pairs come out as Python ints.
+    """
     s_values = table.s_values
     limit = table.limit
     lookup = table.s
-    for m in range(lo, hi):
-        n = s_values[m] - shift
-        if n > m and (s_values[n] if n <= limit else lookup(n)) == m + shift:
-            found.append((m, n))
+    found = []
+    if isinstance(s_values, list):
+        for m in range(lo, hi):
+            n = s_values[m] - shift
+            if n > m and (s_values[n] if n <= limit else lookup(n)) == m + shift:
+                found.append((m, n))
+        return found
+    import numpy as np
+
+    for start in range(lo, hi, _CHUNK):
+        ms = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
+        ns = s_values[start : start + len(ms)] - shift
+        inside = np.flatnonzero((ns > ms) & (ns <= limit))
+        inside = inside[s_values[ns[inside]] == ms[inside] + shift]
+        found += zip(ms[inside].tolist(), ns[inside].tolist())
+        beyond = np.flatnonzero(ns > limit)
+        for m, n in zip(ms[beyond].tolist(), ns[beyond].tolist()):
+            if lookup(n) == m + shift:
+                found.append((m, n))
     return found
 
 
@@ -157,7 +177,7 @@ def _search(limit, shift, method, parallel, workers) -> SearchReport:
     if limit < 2:
         raise BadParameter("search limit must be at least 2")
     if method == "sieve":
-        table = build_sieve(limit)
+        table = build_sieve(limit, array=True)
     elif method == "direct":
         _check_budget(limit)
         table = SieveTable(limit, list(map(aliquot_s, range(limit + 1))))
@@ -181,9 +201,10 @@ def search_amicable(
 ) -> SearchReport:
     """All amicable pairs (m, n) with m < n and m <= limit.
 
-    The scan reads one table, filled by `build_sieve` (method 'sieve') or by
-    `aliquot_s` of every index ('direct'), within the sieve budget. Each hit
-    is re-verified with sigma_brute, raising VerificationFailed on a
+    The scan reads one table, filled by `build_sieve` (method 'sieve'; an
+    int64 numpy array when numpy is installed, a list otherwise) or by
+    `aliquot_s` of every index ('direct', a list), within the sieve budget.
+    Each hit is re-verified with sigma_brute, raising VerificationFailed on a
     disagreement.
     `parallel` partitions the scan range across processes; the merged result
     is sorted, so output does not depend on scheduling.

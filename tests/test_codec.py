@@ -195,8 +195,19 @@ VERDICT = '"m":"1","n":"2","s_m":"0","s_n":"0","guard_failures":[]'
             lambda raw: from_json(raw, SearchReport),
             b'{"limit":"x","pairs":[],"all_even":true,"min_gcd":"0","oracle":"Sieve"}',
         ),
+        (
+            lambda raw: from_json(raw, SearchReport),
+            b'{"limit":"5","pairs":[],"all_even":"yes","min_gcd":"0","oracle":"Sieve"}',
+        ),
+        (
+            lambda raw: from_json(raw, SearchReport),
+            b'{"limit":5.7,"pairs":[],"all_even":true,"min_gcd":"0","oracle":"Sieve"}',
+        ),
     ],
-    ids=["list", "missing-field", "missing-member", "not-json", "unknown-kind", "bad-int"],
+    ids=[
+        "list", "missing-field", "missing-member", "not-json", "unknown-kind", "bad-int",
+        "string-as-bool", "float-as-int",
+    ],
 )
 def test_malformed_json_raises_unsupported_format(decode, raw):
     with pytest.raises(UnsupportedFormat, match="malformed") as caught:

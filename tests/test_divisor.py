@@ -129,6 +129,8 @@ def test_build_sieve_rejects_bad_limits():
         build_sieve(0)
     with pytest.raises(LimitTooLarge):
         build_sieve(10_000, budget=1000)
+    with pytest.raises(LimitTooLarge):
+        build_sieve(10_000, budget=1000, array=True)
 
 
 def test_build_sieve_budget_env_override(monkeypatch):

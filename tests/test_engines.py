@@ -1,0 +1,151 @@
+"""The two table storages: the int64 numpy sieve against the list sieve,
+which storage the pair searches scan, the type of a table lookup on either,
+and the code paths that must never import numpy. That every engine gives the
+same search report is checked in test_pairs.py.
+
+Tests of the array kernel skip when numpy is not installed; the list-engine
+checks run either way.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import amicable
+from amicable import build_sieve, search_amicable, search_betrothed
+from amicable.divisor import _array_sieve
+
+SRC = str(Path(amicable.__file__).resolve().parent.parent)
+
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy is not installed"
+)
+
+
+# -- the kernel ---------------------------------------------------------------
+
+
+@needs_numpy
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000))
+def test_array_sieve_equals_list_sieve(limit):
+    assert build_sieve(limit, array=True).s_values.tolist() == build_sieve(limit).s_values
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 211])
+def test_array_sieve_at_the_square_root_boundary(p):
+    # primes up to isqrt(limit) take the power passes, the rest the cofactor pass
+    for limit in (p * p - 1, p * p, p * p + 1):
+        assert build_sieve(limit, array=True).s_values.tolist() == build_sieve(limit).s_values
+
+
+@needs_numpy
+def test_array_sieve_equals_list_sieve_at_2e5():
+    table = build_sieve(200_000, array=True)
+    assert table.s_values.dtype.name == "int64"
+    assert table.s_values.tolist() == build_sieve(200_000).s_values
+
+
+@needs_numpy
+def test_array_sieve_intermediates_never_exceed_sigma():
+    # Run the kernel in int16: every sigma(n) up to 9239 is below 2**15, so the
+    # table comes out right only if no intermediate slot value exceeds its
+    # sigma(n); a multiply before the divide of a prime-power pass wraps.
+    import numpy
+
+    class Int16Numpy:
+        int64 = numpy.int16
+
+        def __getattr__(self, name):
+            return getattr(numpy, name)
+
+    limit = 9239
+    assert _array_sieve(Int16Numpy(), limit).tolist() == build_sieve(limit).s_values
+
+
+def test_array_request_without_numpy_gives_the_list_table(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
+    table = build_sieve(300, array=True)
+    assert table.s_values == build_sieve(300).s_values
+
+
+# -- searches and types -------------------------------------------------------
+
+
+@needs_numpy
+def test_searches_scan_an_array_table(monkeypatch):
+    storages = []
+    original = amicable.pairs.build_sieve
+
+    def recorder(*args, **kwargs):
+        table = original(*args, **kwargs)
+        storages.append(type(table.s_values).__name__)
+        return table
+
+    monkeypatch.setattr(amicable.pairs, "build_sieve", recorder)
+    search_amicable(2000)
+    search_betrothed(2000)
+    assert storages == ["ndarray", "ndarray"]
+
+
+@pytest.mark.parametrize("array", [False, pytest.param(True, marks=needs_numpy)])
+def test_table_lookups_are_python_ints(array):
+    limit = 1000
+    table = build_sieve(limit, array=array)
+    assert isinstance(table.s_values, list) is not array
+    # inside the table, at its edge, past it (prime, shrinking into the table, rough)
+    for n in (0, 1, 2, 220, limit - 1, limit, limit + 1, 1009, 2 * 997, 1009 * 1013):
+        value = table.s(n)
+        assert type(value) is int, (n, type(value))
+        assert value == amicable.aliquot_s(n)
+
+
+# -- where numpy may be imported ----------------------------------------------
+
+
+def run_python(script, timeout=120):
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cycles_and_bignum_paths_never_import_numpy():
+    out = run_python(
+        "import sys\n"
+        "import amicable\n"
+        "amicable.find_cycles(2000, 30)\n"
+        "amicable.aliquot_sequence(10**6 + 2, 20)\n"
+        "amicable.euler_candidate(2, 3)\n"
+        "amicable.thabit_candidate(4)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert out == "False\n"
+
+
+def test_search_without_numpy_gives_the_same_bytes():
+    # the last line says whether numpy is installed and whether it was imported
+    script = (
+        "import importlib.util, sys\n"
+        "{block}"
+        "import amicable\n"
+        "print(amicable.export_report(amicable.search_amicable(20000)).decode())\n"
+        "print(importlib.util.find_spec('numpy') is not None, 'numpy' in sys.modules)\n"
+    )
+    blocked = run_python(script.format(block="sys.modules['numpy'] = None\n")).split("\n")
+    plain = run_python(script.format(block="")).split("\n")
+    assert blocked[0] == plain[0]
+    assert blocked[1] == "False True"  # present, but as None: the import failed
+    assert plain[1] in ("True True", "False False")

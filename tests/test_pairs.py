@@ -1,6 +1,8 @@
 """Pair checks, searches, and audits."""
 
+import dataclasses
 import random
+import sys
 from math import gcd, isqrt
 
 import pytest
@@ -199,11 +201,19 @@ def test_search_betrothed_parallel_and_direct_agree():
 
 
 @pytest.mark.parametrize("search", [search_amicable, search_betrothed])
-def test_search_engines_agree_at_20000(search):
-    # partners past 20000 come from the table plus trial division
+def test_search_engines_agree_at_20000(monkeypatch, search):
+    # partners past 20000 come from the table plus trial division; the sieve
+    # table is a numpy array when numpy imports and a list when it does not
     sieve = search(20_000)
-    assert search(20_000, method="direct").pairs == sieve.pairs
-    assert search(20_000, parallel=True, workers=2) == sieve
+    reports = [sieve, search(20_000, parallel=True, workers=2)]
+    direct = search(20_000, method="direct")
+    assert direct.oracle is Oracle.DIRECT
+    reports.append(dataclasses.replace(direct, oracle=Oracle.SIEVE))
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
+    reports += [search(20_000), search(20_000, parallel=True, workers=2)]
+    for report in reports:
+        assert report == sieve
+        assert all(type(x) is int for pair in report.pairs for x in pair)
     assert len(sieve.pairs) == 8
 
 
