@@ -229,7 +229,8 @@ def _borho_line(c) -> str:
 
 def _cmd_generate(args) -> int:
     if args.rule == "thabit" and args.k_max is not None:
-        candidates = [thabit_candidate(k) for k in range(1, args.k_max + 1)]
+        # --k-max 0 runs k = 0 alone, so thabit_candidate rejects it as --k 0 does
+        candidates = [thabit_candidate(k) for k in range(min(1, args.k_max), args.k_max + 1)]
         _emit(args, candidates, [_pqr_line(f"k={c.k}:", c) for c in candidates])
         return 0 if any(c.verified for c in candidates) else 1
     if args.rule == "thabit":

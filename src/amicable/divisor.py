@@ -102,7 +102,7 @@ class SieveTable:
     """
 
     limit: int
-    s_values: list[int]
+    s_values: list[int]  # or numpy.ndarray of int64
 
     def s(self, n: int) -> int:
         """s(n) for any n >= 0, equal to `aliquot_s(n)`.
@@ -139,16 +139,7 @@ class SieveTable:
         return known * sigma(rest) - n
 
 
-def _check_budget(limit: int, budget: int | None = None) -> None:
-    """Raise LimitTooLarge when limit + 1 table entries exceed the budget."""
-    if budget is None:
-        env = os.environ.get(SIEVE_BUDGET_ENV)
-        budget = int(env) if env else DEFAULT_SIEVE_BUDGET
-    if limit + 1 > budget:
-        raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}")
-
-
-def build_sieve(limit: int, budget: int | None = None, *, array: bool = False) -> SieveTable:
+def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     """Tabulate s(n) for all n <= limit with a multiplicative prime-power sieve.
 
     Every slot starts at 1. For each prime p and each power q = p**e <= limit,
@@ -162,12 +153,16 @@ def build_sieve(limit: int, budget: int | None = None, *, array: bool = False) -
 
     With `array=True` the table is an int64 numpy array filled by
     `_array_sieve`, or the list above when numpy does not import. Raises
-    LimitTooLarge when limit + 1 entries exceed the budget (default 2**31, or
-    the AMICABLE_SIEVE_BUDGET variable), whichever storage is chosen.
+    LimitTooLarge when limit + 1 entries exceed the budget, which is the
+    AMICABLE_SIEVE_BUDGET variable when set and 2**31 otherwise, whichever
+    storage is chosen.
     """
     if limit < 1:
         raise BadParameter("sieve limit must be at least 1")
-    _check_budget(limit, budget)
+    env = os.environ.get(SIEVE_BUDGET_ENV)
+    budget = int(env) if env else DEFAULT_SIEVE_BUDGET
+    if limit + 1 > budget:
+        raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}")
     if array:
         try:
             import numpy

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .divisor import _CHUNK, SieveTable, _check_budget, aliquot_s, build_sieve, sigma_brute
+from .divisor import _CHUNK, SieveTable, aliquot_s, build_sieve, sigma_brute
 from .errors import BadParameter, VerificationFailed
 
 
@@ -31,7 +31,6 @@ class GuardFailure(str, Enum):
 
 class Oracle(str, Enum):
     SIEVE = "Sieve"
-    DIRECT = "Direct"
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,9 @@ def is_amicable_number(n: int) -> int | None:
 class SearchReport:
     """Pairs found below a limit plus audit fields computed over them.
 
-    min_gcd is 0 when no pair was found. `oracle` records how s-values were
-    obtained during the scan (shared sieve table or per-number sigma).
+    min_gcd is 0 when no pair was found. `oracle` names the source of the
+    scan's s-values; the sieve table is the only one, but the field stays so
+    that exports keep their `"oracle":"Sieve"` and `oracle=Sieve` bytes.
     """
 
     limit: int
@@ -173,49 +173,43 @@ def _run_scan(limit, table, shift, parallel, workers):
     return [pair for part in parts for pair in part]
 
 
-def _search(limit, shift, method, parallel, workers) -> SearchReport:
+def _search(limit, shift, parallel, workers) -> SearchReport:
     if limit < 2:
         raise BadParameter("search limit must be at least 2")
-    if method == "sieve":
-        table = build_sieve(limit, array=True)
-    elif method == "direct":
-        _check_budget(limit)
-        table = SieveTable(limit, list(map(aliquot_s, range(limit + 1))))
-    else:
-        raise BadParameter(f"unknown search method {method!r}")
+    if workers is not None and workers < 1:
+        raise BadParameter("a parallel search needs at least one worker")
+    table = build_sieve(limit, array=True)
     pairs = sorted(set(_run_scan(limit, table, shift, parallel, workers)))
     for m, n in pairs:
         # sigma(m) = sigma(n) = m + n + shift restates both scan conditions
         if sigma_brute(m) != m + n + shift or sigma_brute(n) != m + n + shift:
             raise VerificationFailed(f"oracle disagreement on candidate pair ({m}, {n})")
     facts = _facts(pairs)
-    return SearchReport(limit, tuple(pairs), facts.all_even, facts.min_gcd, Oracle[method.upper()])
+    return SearchReport(limit, tuple(pairs), facts.all_even, facts.min_gcd, Oracle.SIEVE)
 
 
 def search_amicable(
     limit: int,
     *,
-    method: str = "sieve",
     parallel: bool = False,
     workers: int | None = None,
 ) -> SearchReport:
     """All amicable pairs (m, n) with m < n and m <= limit.
 
-    The scan reads one table, filled by `build_sieve` (method 'sieve'; an
-    int64 numpy array when numpy is installed, a list otherwise) or by
-    `aliquot_s` of every index ('direct', a list), within the sieve budget.
-    Each hit is re-verified with sigma_brute, raising VerificationFailed on a
-    disagreement.
-    `parallel` partitions the scan range across processes; the merged result
-    is sorted, so output does not depend on scheduling.
+    The scan reads one table from `build_sieve(limit, array=True)`: an int64
+    numpy array when numpy is installed, a list otherwise, within the sieve
+    budget either way. Each hit is re-verified with sigma_brute, raising
+    VerificationFailed on a disagreement.
+    `parallel` partitions the scan range across `workers` processes (default:
+    the CPU count, at most 8); the merged result is sorted, so output does not
+    depend on scheduling.
     """
-    return _search(limit, 0, method, parallel, workers)
+    return _search(limit, 0, parallel, workers)
 
 
 def search_betrothed(
     limit: int,
     *,
-    method: str = "sieve",
     parallel: bool = False,
     workers: int | None = None,
 ) -> SearchReport:
@@ -224,7 +218,7 @@ def search_betrothed(
     Same scan and double-checking as `search_amicable`, with the shifted
     condition s(m) = n + 1, s(n) = m + 1.
     """
-    return _search(limit, 1, method, parallel, workers)
+    return _search(limit, 1, parallel, workers)
 
 
 def _facts(pairs) -> AuditResult:

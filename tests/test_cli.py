@@ -269,6 +269,12 @@ def test_domain_errors_exit_two_with_message(capsys):
     assert err.startswith("error:")
 
 
+def test_generate_thabit_k_max_zero_is_rejected_like_k_zero(capsys):
+    expected = invoke(capsys, "generate", "thabit", "--k", "0")
+    assert expected == (2, "", "error: the doubling rule needs k >= 1\n")
+    assert invoke(capsys, "generate", "thabit", "--k-max", "0") == expected
+
+
 def test_csv_rejected_outside_pair_reports(capsys):
     for argv in (
         ["sigma", "220", "--format", "csv"],

@@ -203,10 +203,15 @@ VERDICT = '"m":"1","n":"2","s_m":"0","s_n":"0","guard_failures":[]'
             lambda raw: from_json(raw, SearchReport),
             b'{"limit":5.7,"pairs":[],"all_even":true,"min_gcd":"0","oracle":"Sieve"}',
         ),
+        (
+            # the per-number "direct" search route was removed; its tag no longer decodes
+            lambda raw: from_json(raw, SearchReport),
+            b'{"limit":"5","pairs":[],"all_even":true,"min_gcd":"0","oracle":"Direct"}',
+        ),
     ],
     ids=[
         "list", "missing-field", "missing-member", "not-json", "unknown-kind", "bad-int",
-        "string-as-bool", "float-as-int",
+        "string-as-bool", "float-as-int", "retired-oracle",
     ],
 )
 def test_malformed_json_raises_unsupported_format(decode, raw):

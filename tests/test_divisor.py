@@ -124,13 +124,17 @@ def test_build_sieve_limit_one():
     assert table.s_values == [0, 0]
 
 
-def test_build_sieve_rejects_bad_limits():
+def test_build_sieve_rejects_bad_limits(monkeypatch):
     with pytest.raises(BadParameter):
         build_sieve(0)
-    with pytest.raises(LimitTooLarge):
-        build_sieve(10_000, budget=1000)
-    with pytest.raises(LimitTooLarge):
-        build_sieve(10_000, budget=1000, array=True)
+    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "1000")
+    # the budget holds for both storages
+    for array in (False, True):
+        with pytest.raises(LimitTooLarge):
+            build_sieve(10_000, array=array)
+        assert build_sieve(999, array=array).limit == 999
+    with pytest.raises(TypeError):
+        build_sieve(10_000, 1000)  # the budget is no longer an argument
 
 
 def test_build_sieve_budget_env_override(monkeypatch):

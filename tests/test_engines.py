@@ -1,13 +1,15 @@
 """The two table storages: the int64 numpy sieve against the list sieve,
 which storage the pair searches scan, the type of a table lookup on either,
-and the code paths that must never import numpy. That every engine gives the
-same search report is checked in test_pairs.py.
+the code paths that must never import numpy, and the search pool under the
+spawn and forkserver start methods. That every engine gives the same search
+report is checked in test_pairs.py.
 
 Tests of the array kernel skip when numpy is not installed; the list-engine
 checks run either way.
 """
 
 import importlib.util
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -149,3 +151,24 @@ def test_search_without_numpy_gives_the_same_bytes():
     assert blocked[0] == plain[0]
     assert blocked[1] == "False True"  # present, but as None: the import failed
     assert plain[1] in ("True True", "False False")
+
+
+# -- the pool under other start methods ----------------------------------------
+
+
+@pytest.mark.parametrize("start", ["spawn", "forkserver"])
+def test_pool_matches_serial_under_start_method(start):
+    # spawn is the default on macOS and Windows: workers import the package
+    # afresh and receive the table by pickling, not by fork
+    if start not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{start} is not available on this platform")
+    out = run_python(
+        "import multiprocessing\n"
+        f"multiprocessing.set_start_method({start!r})\n"
+        "import amicable\n"
+        "for search in (amicable.search_amicable, amicable.search_betrothed):\n"
+        "    serial = search(20000)\n"
+        "    assert search(20000, parallel=True, workers=2) == serial, search.__name__\n"
+        "    print(len(serial.pairs))\n"
+    )
+    assert out == "8\n8\n"

@@ -1,6 +1,5 @@
 """Pair checks, searches, and audits."""
 
-import dataclasses
 import random
 import sys
 from math import gcd, isqrt
@@ -34,6 +33,29 @@ def s_oracle(n):
             if d != n // d:
                 total += n // d
     return total - n
+
+
+def enumerate_pairs(limit, shift):
+    """Pairs (m, n) with m <= limit, m < n, s(m) = n + shift, s(n) = m + shift, by s_oracle."""
+    expected = []
+    for m in range(2, limit + 1):
+        n = s_oracle(m) - shift
+        if n > m and s_oracle(n) == m + shift:
+            expected.append((m, n))
+    return expected
+
+
+# Both searches at 20000, frozen from enumerate_pairs(20000, shift).
+PAIRS_AT_20000 = {
+    search_amicable: (
+        (220, 284), (1184, 1210), (2620, 2924), (5020, 5564),
+        (6232, 6368), (10744, 10856), (12285, 14595), (17296, 18416),
+    ),
+    search_betrothed: (
+        (48, 75), (140, 195), (1050, 1925), (1575, 1648),
+        (2024, 2295), (5775, 6128), (8892, 16587), (9504, 20735),
+    ),
+}
 
 
 def test_check_amicable_frozen_examples():
@@ -146,12 +168,10 @@ def test_search_amicable_all_even_true_below_12285():
     assert report.min_gcd == 2
 
 
-def test_search_methods_agree():
-    sieve = search_amicable(2500, method="sieve")
-    direct = search_amicable(2500, method="direct")
-    assert sieve.pairs == direct.pairs
-    assert sieve.oracle is Oracle.SIEVE
-    assert direct.oracle is Oracle.DIRECT
+def test_search_matches_enumeration_and_reports_the_sieve():
+    report = search_amicable(2500)
+    assert list(report.pairs) == enumerate_pairs(2500, 0)
+    assert report.oracle is Oracle.SIEVE
 
 
 def test_search_parallel_matches_serial():
@@ -161,14 +181,8 @@ def test_search_parallel_matches_serial():
 
 
 def test_search_completeness_against_double_loop():
-    # every m < n <= 10 * limit with m <= limit, checked by enumeration only
-    limit = 2000
-    expected = []
-    for m in range(2, limit + 1):
-        n = s_oracle(m)
-        if n > m and n <= 10 * limit and s_oracle(n) == m:
-            expected.append((m, n))
-    assert list(search_amicable(limit).pairs) == expected
+    # every m < n with m <= limit, checked by enumeration only
+    assert list(search_amicable(2000).pairs) == enumerate_pairs(2000, 0)
 
 
 def test_search_betrothed_frozen_limits():
@@ -185,19 +199,13 @@ def test_search_betrothed_frozen_limits():
 
 
 def test_search_betrothed_completeness_against_double_loop():
-    limit = 1200
-    expected = []
-    for m in range(2, limit + 1):
-        n = s_oracle(m) - 1
-        if n > m and s_oracle(n) == m + 1:
-            expected.append((m, n))
-    assert list(search_betrothed(limit).pairs) == expected
+    assert list(search_betrothed(1200).pairs) == enumerate_pairs(1200, 1)
 
 
-def test_search_betrothed_parallel_and_direct_agree():
-    base = search_betrothed(500)
-    assert search_betrothed(500, method="direct").pairs == base.pairs
-    assert search_betrothed(500, parallel=True, workers=2).pairs == base.pairs
+def test_search_betrothed_parallel_matches_enumeration():
+    expected = enumerate_pairs(500, 1)
+    assert list(search_betrothed(500).pairs) == expected
+    assert list(search_betrothed(500, parallel=True, workers=2).pairs) == expected
 
 
 @pytest.mark.parametrize("search", [search_amicable, search_betrothed])
@@ -205,16 +213,13 @@ def test_search_engines_agree_at_20000(monkeypatch, search):
     # partners past 20000 come from the table plus trial division; the sieve
     # table is a numpy array when numpy imports and a list when it does not
     sieve = search(20_000)
-    reports = [sieve, search(20_000, parallel=True, workers=2)]
-    direct = search(20_000, method="direct")
-    assert direct.oracle is Oracle.DIRECT
-    reports.append(dataclasses.replace(direct, oracle=Oracle.SIEVE))
+    assert sieve.pairs == PAIRS_AT_20000[search]
+    reports = [search(20_000, parallel=True, workers=2)]
     monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
     reports += [search(20_000), search(20_000, parallel=True, workers=2)]
-    for report in reports:
+    for report in [sieve, *reports]:
         assert report == sieve
         assert all(type(x) is int for pair in report.pairs for x in pair)
-    assert len(sieve.pairs) == 8
 
 
 def test_search_rejects_tiny_limits_and_bad_method(monkeypatch):
@@ -222,12 +227,17 @@ def test_search_rejects_tiny_limits_and_bad_method(monkeypatch):
         search_amicable(1)
     with pytest.raises(BadParameter):
         search_betrothed(0)
-    with pytest.raises(BadParameter):
-        search_amicable(100, method="guess")
-    # the direct table is held to the same budget as the sieve
+    for search in (search_amicable, search_betrothed):
+        with pytest.raises(TypeError):
+            search(100, method="direct")  # the direct route is gone
+    # the search table is held to the sieve budget, and worker counts are
+    # checked before any table is built
     monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "100")
     with pytest.raises(LimitTooLarge):
-        search_amicable(1000, method="direct")
+        search_amicable(1000)
+    for workers in (0, -1):
+        with pytest.raises(BadParameter, match="at least one worker"):
+            search_amicable(1000, parallel=True, workers=workers)
 
 
 def test_audit_fields():
