@@ -23,9 +23,10 @@ Other dataclasses, and field hints outside these rules, raise
 UnsupportedFormat.
 Output is compact, hence byte-deterministic. `from_json(raw, cls)` is the
 inverse for any report class `cls` or `list[KnownEntry]`, and accepts only
-what the encoder writes: an int field must hold a decimal string, a bool or
-str field a JSON bool or string, a sequence field a JSON list; anything else
-raises UnsupportedFormat. CSV is defined for
+what the encoder writes: a record or pair must be an object with exactly its
+keys, a candidate's "rule" must be its own class's tag, an int field must
+hold a decimal string, a bool or str field a JSON bool or string, a sequence
+field a JSON list; anything else raises UnsupportedFormat. CSV is defined for
 pair-shaped reports only (one row per pair, columns m,n,kind,gcd,parity).
 """
 
@@ -218,6 +219,12 @@ def _decode_int(data) -> int:
     return int(data)
 
 
+def _require_keys(data, keys: set[str]) -> None:
+    """Refuse anything but a JSON object with exactly these keys."""
+    if not isinstance(data, dict) or data.keys() != keys:
+        raise ValueError(f"expected an object with keys {sorted(keys)}, got {data!r}")
+
+
 def _decode(data, hint) -> object:
     shape, arg = _shape(hint)
     if shape == "optional":
@@ -225,6 +232,7 @@ def _decode(data, hint) -> object:
     if shape == "int":
         return _decode_int(data)
     if shape == "pair":
+        _require_keys(data, {"m", "n"})
         return (_decode_int(data["m"]), _decode_int(data["n"]))
     if shape in ("tuple", "list"):
         if not isinstance(data, list):
@@ -232,7 +240,12 @@ def _decode(data, hint) -> object:
         items = [_decode(item, arg) for item in data]
         return tuple(items) if shape == "tuple" else items
     if shape == "record":
-        _, fields = _fields(arg)
+        rule, fields = _fields(arg)
+        keys = {name for name, _ in fields}
+        _require_keys(data, keys if rule is None else keys | {"rule"})
+        # an untagged record has no "rule" key (no report class has such a field)
+        if data.get("rule") != rule:
+            raise ValueError(f"expected rule {rule!r}, got {data['rule']!r}")
         return arg(**{name: _decode(data[name], field_hint) for name, field_hint in fields})
     if shape == "enum":
         return hint(data)

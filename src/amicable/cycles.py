@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .divisor import aliquot_s, build_sieve
+from .divisor import SieveTable, aliquot_s, build_sieve
 from .errors import BadParameter, VerificationFailed
 
 
@@ -42,42 +42,53 @@ class AliquotResult:
     entry_index: int | None = None
 
 
+# s(0) = s(1) = 0; every larger n goes through SieveTable.s's trial division
+_UNIT_TABLE = SieveTable(1, [0, 0])
+
+
+def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable):
+    """Iterate s from `start`: (trajectory list, outcome, cycle entry index or None).
+
+    The one loop over s, shared by `aliquot_sequence` and `find_cycles`. The
+    list follows `AliquotResult`; values past the table come from `table.s`.
+    """
+    s_values, limit, lookup = table.s_values, table.limit, table.s
+    path = [start]
+    index = {start: 0}
+    current = start
+    for _ in range(max_steps):
+        nxt = s_values[current] if current <= limit else lookup(current)
+        if nxt == current:
+            return path, AliquotOutcome.FIXED_POINT, None
+        if nxt == 0:
+            path.append(0)
+            return path, AliquotOutcome.REACHED_ZERO, None
+        if nxt in index:
+            return path, AliquotOutcome.ENTERED_CYCLE, index[nxt]
+        path.append(nxt)
+        if nxt > ceiling:
+            return path, AliquotOutcome.CEILING_EXCEEDED, None
+        index[nxt] = len(path) - 1
+        current = nxt
+    return path, AliquotOutcome.STEPS_EXHAUSTED, None
+
+
 def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) -> AliquotResult:
-    """Iterate s from `start` for at most `max_steps` applications."""
+    """Iterate s from `start` for at most `max_steps` applications.
+
+    Each step is `SieveTable.s` on a two-slot table, which strips the primes
+    below 1000 and factorizes only a rough cofactor.
+    """
     if start < 1:
         raise BadParameter("aliquot sequences start at 1 or above")
     if max_steps < 1:
         raise BadParameter("max_steps must be at least 1")
     if ceiling < start:
         raise BadParameter("ceiling must not be below the starting value")
-
-    trajectory = [start]
-    index = {start: 0}
-    current = start
-    for _ in range(max_steps):
-        nxt = aliquot_s(current)
-        if nxt == current:
-            return AliquotResult(
-                start, tuple(trajectory), AliquotOutcome.FIXED_POINT, fixed_point=current
-            )
-        if nxt == 0:
-            trajectory.append(0)
-            return AliquotResult(start, tuple(trajectory), AliquotOutcome.REACHED_ZERO)
-        if nxt in index:
-            entry = index[nxt]
-            return AliquotResult(
-                start,
-                tuple(trajectory),
-                AliquotOutcome.ENTERED_CYCLE,
-                cycle=tuple(trajectory[entry:]),
-                entry_index=entry,
-            )
-        trajectory.append(nxt)
-        if nxt > ceiling:
-            return AliquotResult(start, tuple(trajectory), AliquotOutcome.CEILING_EXCEEDED)
-        index[nxt] = len(trajectory) - 1
-        current = nxt
-    return AliquotResult(start, tuple(trajectory), AliquotOutcome.STEPS_EXHAUSTED)
+    trajectory, outcome, entry = _walk(start, max_steps, ceiling, _UNIT_TABLE)
+    fixed = trajectory[-1] if outcome is AliquotOutcome.FIXED_POINT else None
+    cycle = None if entry is None else tuple(trajectory[entry:])
+    return AliquotResult(start, tuple(trajectory), outcome, fixed, cycle, entry)
 
 
 @dataclass(frozen=True)
@@ -126,11 +137,11 @@ def _canonical(cycle: list[int]) -> tuple[int, ...]:
 def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     """Sociable cycles reachable from starts up to `limit` within `max_len` steps.
 
-    Trajectory values are allowed to wander up to 64 * limit before a start is
-    abandoned. Values beyond the sieve come from `SieveTable.s`. Each cycle is
-    reported once, rotated so its minimum comes first, and re-verified through
-    `verify_cycle`, raising VerificationFailed if that fails. Output is
-    sorted, hence deterministic.
+    Each start runs `_walk` over one sieve to `limit`, abandoned once a value
+    passes 64 * limit; values beyond the sieve come from `SieveTable.s`. Each
+    cycle is reported once, rotated so its minimum comes first, and
+    re-verified by `verify_cycle` on the `aliquot_s` route, raising
+    VerificationFailed if that fails. Output is sorted, hence deterministic.
     """
     if limit < 2:
         raise BadParameter("cycle search limit must be at least 2")
@@ -138,26 +149,13 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
         raise BadParameter("cycles have length at least 2")
 
     table = build_sieve(limit)
-    s_values = table.s_values
-    lookup = table.s
     bound = 64 * limit
-
     found: set[tuple[int, ...]] = set()
     for start in range(2, limit + 1):
-        path = [start]
-        index = {start: 0}
-        current = start
-        for _ in range(max_len):
-            nxt = s_values[current] if current <= limit else lookup(current)
-            if nxt == current or nxt == 0 or nxt > bound:
-                break
-            if nxt in index:
-                # nxt != current, so the cycle has at least two members
-                found.add(_canonical(path[index[nxt]:]))
-                break
-            index[nxt] = len(path)
-            path.append(nxt)
-            current = nxt
+        path, _, entry = _walk(start, max_len, bound, table)
+        if entry is not None:
+            # a fixed point has no entry, so the cycle has at least two members
+            found.add(_canonical(path[entry:]))
 
     cycles = []
     for members in sorted(found):

@@ -6,11 +6,12 @@ enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
 range by multiplying in sigma(p**e) for every prime power, since sigma is
 multiplicative. The sieve fills a Python list, or an int64 numpy array when
 the caller asks for one and numpy imports; only the pair searches ask, so
-only they import numpy. `SieveTable.s`, the one s-value engine of searches
-and cycle walks, extends a table past its limit by stripping small prime
-powers until the cofactor is tabulated or prime, and factorizes only a
-cofactor that is neither. Searches re-verify their hits through the brute
-route, so a defect in one path cannot silently corrupt results.
+only they import numpy. `SieveTable.s`, the one s-value engine of the
+searches, `find_cycles` and `aliquot_sequence`, extends a table past its limit
+by stripping small prime powers until the cofactor is tabulated or prime, and
+factorizes only a cofactor that is neither. Searches re-verify their hits
+through the brute route and cycles through `aliquot_s`, so a defect in one
+path cannot silently corrupt results.
 """
 
 from __future__ import annotations
@@ -98,14 +99,16 @@ class SieveTable:
     """Aliquot sums for every index up to `limit`; treat as read-only.
 
     `s_values` is a list of ints, or an int64 numpy array when built by
-    `build_sieve(limit, array=True)`; `s` returns a Python int for both.
+    `build_sieve(limit, array=True)`; `s` returns a Python int for both. The
+    searches and `find_cycles` build one with `build_sieve`; `aliquot_sequence`
+    walks a two-slot `SieveTable(1, [0, 0])`, so all its work is in `s`.
     """
 
     limit: int
     s_values: list[int]  # or numpy.ndarray of int64
 
     def s(self, n: int) -> int:
-        """s(n) for any n >= 0, equal to `aliquot_s(n)`.
+        """s(n) for any n >= 0, equal to `aliquot_s(n)`: every aliquot step's engine.
 
         Up to the limit this reads the table. Beyond it, prime powers p**e with
         p < 1000 are divided out of n until the cofactor is tabulated or
@@ -155,12 +158,15 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     `_array_sieve`, or the list above when numpy does not import. Raises
     LimitTooLarge when limit + 1 entries exceed the budget, which is the
     AMICABLE_SIEVE_BUDGET variable when set and 2**31 otherwise, whichever
-    storage is chosen.
+    storage is chosen, and BadParameter when that variable is not an integer.
     """
     if limit < 1:
         raise BadParameter("sieve limit must be at least 1")
     env = os.environ.get(SIEVE_BUDGET_ENV)
-    budget = int(env) if env else DEFAULT_SIEVE_BUDGET
+    try:
+        budget = int(env) if env else DEFAULT_SIEVE_BUDGET
+    except ValueError:
+        raise BadParameter(f"{SIEVE_BUDGET_ENV}={env!r} is not a whole number of entries") from None
     if limit + 1 > budget:
         raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}")
     if array:

@@ -269,6 +269,14 @@ def test_domain_errors_exit_two_with_message(capsys):
     assert err.startswith("error:")
 
 
+def test_malformed_sieve_budget_is_a_usage_error(capsys, monkeypatch):
+    # exit 1 would read as a negative verdict
+    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "abc")
+    code, out, err = invoke(capsys, "search", "--max", "100")
+    assert (code, out) == (2, "")
+    assert err == "error: AMICABLE_SIEVE_BUDGET='abc' is not a whole number of entries\n"
+
+
 def test_generate_thabit_k_max_zero_is_rejected_like_k_zero(capsys):
     expected = invoke(capsys, "generate", "thabit", "--k", "0")
     assert expected == (2, "", "error: the doubling rule needs k >= 1\n")

@@ -29,6 +29,7 @@ from amicable import (
     UnsupportedFormat,
     build_sieve,
     candidate_from_json,
+    euler_candidate,
     export_report,
     factorize,
     from_json,
@@ -208,10 +209,25 @@ VERDICT = '"m":"1","n":"2","s_m":"0","s_n":"0","guard_failures":[]'
             lambda raw: from_json(raw, SearchReport),
             b'{"limit":"5","pairs":[],"all_even":true,"min_gcd":"0","oracle":"Direct"}',
         ),
+        (
+            lambda raw: from_json(raw, PairVerdict),
+            ('{"kind":"Amicable",' + VERDICT + ',"bogus":1}').encode(),
+        ),
+        (
+            lambda raw: from_json(raw, SearchReport),
+            b'{"limit":"5","pairs":[{"m":"1","n":"2","x":"3"}],"all_even":true,"min_gcd":"0",'
+            b'"oracle":"Sieve"}',
+        ),
+        (
+            # an Euler export retagged as Borho's rule is not an EulerCandidate
+            lambda raw: from_json(raw, EulerCandidate),
+            export_report(euler_candidate(2, 4)).replace(b'"rule":"euler"', b'"rule":"borho"'),
+        ),
     ],
     ids=[
         "list", "missing-field", "missing-member", "not-json", "unknown-kind", "bad-int",
-        "string-as-bool", "float-as-int", "retired-oracle",
+        "string-as-bool", "float-as-int", "retired-oracle", "extra-key", "extra-pair-key",
+        "wrong-rule",
     ],
 )
 def test_malformed_json_raises_unsupported_format(decode, raw):

@@ -1,9 +1,12 @@
 """Aliquot sequences and sociable cycles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amicable import (
     AliquotOutcome,
+    AliquotResult,
     BadParameter,
     aliquot_s,
     aliquot_sequence,
@@ -79,6 +82,68 @@ def test_aliquot_rejects_bad_parameters():
         aliquot_sequence(10, max_steps=0)
     with pytest.raises(BadParameter):
         aliquot_sequence(10, ceiling=5)
+
+
+def sequence_by_aliquot_s(start, steps, ceiling):
+    # the AliquotResult conventions, with every step computed from the factorization
+    trajectory = [start]
+    for _ in range(steps):
+        current, nxt = trajectory[-1], aliquot_s(trajectory[-1])
+        if nxt == current:
+            return AliquotResult(start, tuple(trajectory), AliquotOutcome.FIXED_POINT, current)
+        if nxt == 0:
+            return AliquotResult(start, (*trajectory, 0), AliquotOutcome.REACHED_ZERO)
+        if nxt in trajectory:
+            entry = trajectory.index(nxt)
+            cycle = tuple(trajectory[entry:])
+            return AliquotResult(
+                start, tuple(trajectory), AliquotOutcome.ENTERED_CYCLE, None, cycle, entry
+            )
+        trajectory.append(nxt)
+        if nxt > ceiling:
+            return AliquotResult(start, tuple(trajectory), AliquotOutcome.CEILING_EXCEEDED)
+    return AliquotResult(start, tuple(trajectory), AliquotOutcome.STEPS_EXHAUSTED)
+
+
+@st.composite
+def walks(draw):
+    start = draw(st.integers(1, 10**7))
+    # a ceiling near the start is the one a walk can break within 40 steps
+    ceiling = draw(st.integers(start, 10**15) | st.integers(start, 2 * start))
+    return start, draw(st.integers(1, 40)), ceiling
+
+
+@settings(max_examples=100, deadline=None)
+@given(walks())
+def test_aliquot_sequence_matches_walk_by_aliquot_s(walk):
+    assert vars(aliquot_sequence(*walk)) == vars(sequence_by_aliquot_s(*walk))
+
+
+P60 = 2**60 + 33  # the least prime above 2**60
+SEMIPRIME = 4294967311 * 4294967357  # the two least primes above 2**32
+
+# (start, steps, ceiling): one case per outcome below 10**7, then starts past
+# 2**64: a prime, 2**10 times a prime, and a semiprime whose step needs factorize
+EXPLICIT_WALKS = [
+    (6, 5, 6),
+    (12496, 40, 10**15),
+    (30, 50, 100),
+    (30, 50, 144),  # 144 is on the trajectory, and a value equal to the ceiling is allowed
+    (30, 3, 10**15),
+    (2**64 + 13, 40, 2**64 + 13),
+    (2**10 * P60, 20, 2**10 * P60),
+    (2**10 * P60, 20, 10**30),
+    (SEMIPRIME, 40, SEMIPRIME),
+]
+
+
+def test_explicit_walks_match_aliquot_s_and_reach_every_outcome():
+    outcomes = set()
+    for walk in EXPLICIT_WALKS:
+        expected = sequence_by_aliquot_s(*walk)
+        assert vars(aliquot_sequence(*walk)) == vars(expected), walk
+        outcomes.add(expected.outcome)
+    assert outcomes == set(AliquotOutcome)
 
 
 def test_verify_cycle_accepts_known_cycles():

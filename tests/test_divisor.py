@@ -135,6 +135,10 @@ def test_build_sieve_rejects_bad_limits(monkeypatch):
         assert build_sieve(999, array=array).limit == 999
     with pytest.raises(TypeError):
         build_sieve(10_000, 1000)  # the budget is no longer an argument
+    for bad in ("abc", "1e6", " "):
+        monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", bad)
+        with pytest.raises(BadParameter, match=f"AMICABLE_SIEVE_BUDGET={bad!r}"):
+            build_sieve(100)
 
 
 def test_build_sieve_budget_env_override(monkeypatch):
