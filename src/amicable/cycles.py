@@ -44,13 +44,18 @@ class AliquotResult:
 
 # s(0) = s(1) = 0; every larger n goes through SieveTable.s's trial division
 _UNIT_TABLE = SieveTable(1, [0, 0])
+_NO_STOPS = bytes(2)
 
 
-def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable):
+def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable, stops):
     """Iterate s from `start`: (trajectory list, outcome, cycle entry index or None).
 
     The one loop over s, shared by `aliquot_sequence` and `find_cycles`. The
     list follows `AliquotResult`; values past the table come from `table.s`.
+    `stops` is a bytes-like with one slot per index 0..table.limit: when the
+    next value is in the table and its slot is nonzero, the walk returns at
+    once with outcome None, leaving that value off the list. `start` itself is
+    never tested.
     """
     s_values, limit, lookup = table.s_values, table.limit, table.s
     path = [start]
@@ -63,6 +68,8 @@ def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable):
         if nxt == 0:
             path.append(0)
             return path, AliquotOutcome.REACHED_ZERO, None
+        if nxt <= limit and stops[nxt]:
+            return path, None, None
         if nxt in index:
             return path, AliquotOutcome.ENTERED_CYCLE, index[nxt]
         path.append(nxt)
@@ -85,7 +92,7 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
         raise BadParameter("max_steps must be at least 1")
     if ceiling < start:
         raise BadParameter("ceiling must not be below the starting value")
-    trajectory, outcome, entry = _walk(start, max_steps, ceiling, _UNIT_TABLE)
+    trajectory, outcome, entry = _walk(start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS)
     fixed = trajectory[-1] if outcome is AliquotOutcome.FIXED_POINT else None
     cycle = None if entry is None else tuple(trajectory[entry:])
     return AliquotResult(start, tuple(trajectory), outcome, fixed, cycle, entry)
@@ -142,6 +149,16 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     cycle is reported once, rotated so its minimum comes first, and
     re-verified by `verify_cycle` on the `aliquot_s` route, raising
     VerificationFailed if that fails. Output is sorted, hence deterministic.
+
+    Walks stop at values whose end is already known. A flag per table slot
+    marks them: a flagged start is skipped, a walk stops at a flagged value,
+    and every walk that does not run out of steps flags the in-table members
+    of its path. The trajectory of a flagged value reaches 0 or a perfect
+    number, enters a cycle already found, or passes 64 * limit before any
+    repeat; a repeat through the new walk's own prefix would have closed the
+    earlier walk first. So a walk that reaches a flagged value cannot add a
+    cycle, whatever its step budget. A walk that ran out of steps proves
+    nothing about other budgets, so its values stay unflagged.
     """
     if limit < 2:
         raise BadParameter("cycle search limit must be at least 2")
@@ -151,11 +168,18 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     table = build_sieve(limit)
     bound = 64 * limit
     found: set[tuple[int, ...]] = set()
+    dead = bytearray(limit + 1)
     for start in range(2, limit + 1):
-        path, _, entry = _walk(start, max_len, bound, table)
+        if dead[start]:
+            continue
+        path, outcome, entry = _walk(start, max_len, bound, table, dead)
         if entry is not None:
             # a fixed point has no entry, so the cycle has at least two members
             found.add(_canonical(path[entry:]))
+        if outcome is not AliquotOutcome.STEPS_EXHAUSTED:
+            for value in path:
+                if value <= limit:
+                    dead[value] = 1
 
     cycles = []
     for members in sorted(found):

@@ -1,9 +1,10 @@
 """Aliquot sequences and sociable cycles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amicable.cycles as cycles_module
 from amicable import (
     AliquotOutcome,
     AliquotResult,
@@ -230,3 +231,29 @@ def test_find_cycles_matches_walk_by_aliquot_s():
     cycles = find_cycles(20_000, 30)
     assert [c.members for c in cycles] == cycles_by_aliquot_s(20_000, 30)
     assert len(cycles) == 10
+
+
+# walks that run out of steps must not mark their values: if they did, the
+# three examples would lose (1184, 1210), then (2620, 2924), then Poulet's 5-cycle
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 3000), st.integers(2, 40))
+@example(1500, 2)
+@example(3000, 3)
+@example(13_000, 5)
+def test_find_cycles_matches_walk_by_aliquot_s_on_drawn_bounds(limit, max_len):
+    assert [c.members for c in find_cycles(limit, max_len)] == cycles_by_aliquot_s(limit, max_len)
+
+
+def test_find_cycles_stops_at_values_with_known_end(monkeypatch):
+    # every start walked in full would sum to 250,222 path entries at this bound
+    walked = []
+    walk = cycles_module._walk
+
+    def counting_walk(*args):
+        result = walk(*args)
+        walked.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(cycles_module, "_walk", counting_walk)
+    assert len(find_cycles(20_000, 30)) == 10
+    assert sum(walked) < 100_000
