@@ -316,8 +316,8 @@ def export_report(report, fmt: str = "json") -> bytes:
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 
-# Raised by malformed input while parsing (JSONDecodeError is a ValueError) or decoding
-_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+# Raised by malformed input: JSONDecodeError is a ValueError, too-deep nesting a RecursionError
+_MALFORMED = (AttributeError, KeyError, RecursionError, TypeError, ValueError)
 
 
 def from_json(raw: bytes | str, cls):

@@ -8,10 +8,10 @@ multiplicative. The sieve fills a Python list, or an int64 numpy array when
 the caller asks for one and numpy imports; only the pair searches ask, so
 only they import numpy. `SieveTable.s`, the one s-value engine of the
 searches, `find_cycles` and `aliquot_sequence`, extends a table past its limit
-by stripping small prime powers until the cofactor is tabulated or prime, and
-factorizes only a cofactor that is neither. Searches re-verify their hits
-through the brute route and cycles through `aliquot_s`, so a defect in one
-path cannot silently corrupt results.
+by stripping prime powers below 1000, and hands a rough cofactor once to the
+rho splitter, which prime-tests each piece at most once. Searches re-verify
+their hits through the brute route and cycles through `aliquot_s`, so a
+defect in one path cannot silently corrupt results.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import isqrt
 from operator import floordiv, mul, sub
 
 from .errors import BadParameter, LimitTooLarge, ZeroInput
-from .numeric import _TRIAL_PRIMES, _rough_is_prime, _sieve_primes, factorize
+from .numeric import _TRIAL_PRIMES, _sieve_primes, _split_rough, factorize
 
 __all__ = [
     "sigma",
@@ -45,23 +45,27 @@ DEFAULT_SIEVE_BUDGET = 1 << 31
 SIEVE_BUDGET_ENV = "AMICABLE_SIEVE_BUDGET"
 
 
-def sigma(n: int) -> int:
-    """Sum of all positive divisors of n, with sigma(0) = 0 by convention.
-
-    Each prime power contributes 1 + p + ... + p**e, accumulated by Horner's
-    rule (term * p + 1, e times) rather than the closed-form quotient.
-    """
-    if n < 0:
-        raise BadParameter("sigma expects a nonnegative integer")
-    if n == 0:
-        return 0
+def _sigma_of_powers(factors) -> int:
+    """sigma of the product of p**e over (p, e) pairs, each term by Horner's rule."""
     total = 1
-    for p, e in factorize(n).factors:
+    for p, e in factors:
         term = 1
         for _ in range(e):
             term = term * p + 1
         total *= term
     return total
+
+
+def sigma(n: int) -> int:
+    """Sum of all positive divisors of n, with sigma(0) = 0 by convention.
+
+    Each prime power contributes 1 + p + ... + p**e (`_sigma_of_powers`).
+    """
+    if n < 0:
+        raise BadParameter("sigma expects a nonnegative integer")
+    if n == 0:
+        return 0
+    return _sigma_of_powers(factorize(n).factors)
 
 
 def sigma_brute(n: int) -> int:
@@ -111,11 +115,11 @@ class SieveTable:
         """s(n) for any n >= 0, equal to `aliquot_s(n)`: every aliquot step's engine.
 
         Up to the limit this reads the table. Beyond it, prime powers p**e with
-        p < 1000 are divided out of n until the cofactor is tabulated or
-        proven prime; s(n) is then the product of their sigma values, times
-        the cofactor's, minus n. Only when neither happens (the cofactor has
-        two or more prime factors above 1000) is the cofactor factorized, and
-        its sigma taken from that.
+        p < 1000 are divided out of n until the cofactor is tabulated or proven
+        prime; s(n) is then the product of their sigma values, times the
+        cofactor's, minus n. A cofactor with no prime factor below 1000 goes
+        once to the rho splitter `_split_rough`, which prime-tests each piece
+        at most once, and its sigma comes from the pieces.
         """
         s_values = self.s_values
         limit = self.limit
@@ -137,9 +141,7 @@ class SieveTable:
                 known *= term
                 if rest <= limit:
                     return known * (int(s_values[rest]) + rest) - n
-        if _rough_is_prime(rest):
-            return known * (rest + 1) - n
-        return known * sigma(rest) - n
+        return known * _sigma_of_powers(_split_rough(rest).items()) - n
 
 
 def build_sieve(limit: int, *, array: bool = False) -> SieveTable:

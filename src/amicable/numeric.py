@@ -214,24 +214,22 @@ def _brent_factor(n: int) -> int:
         c += 1
 
 
-def _rough_is_prime(v: int) -> bool:
-    # v > 1 is prime or has no prime factor below _TRIAL_LIMIT, so below _TRIAL_LIMIT**2 it is prime
-    return v < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v)
-
-
-def _split_rough(n: int, counts: dict[int, int]) -> None:
-    # n is 1, prime, or free of prime factors below _TRIAL_LIMIT
+def _split_rough(n: int) -> dict[int, int]:
+    """{prime: exponent} of n, which is 1, prime, or free of prime factors below 1000."""
+    counts: dict[int, int] = {}
     stack = [n]
     while stack:
         v = stack.pop()
         if v == 1:
             continue
-        if _rough_is_prime(v):
+        # a piece is prime or free of prime factors below _TRIAL_LIMIT: below its square, prime
+        if v < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
         d = _brent_factor(v)
         stack.append(d)
         stack.append(v // d)
+    return counts
 
 
 @lru_cache(maxsize=65536)
@@ -256,5 +254,5 @@ def factorize(n: int) -> Factorization:
         while rem % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
-    _split_rough(rem, counts)
+    counts.update(_split_rough(rem))  # rem has no prime already in counts
     return Factorization(tuple(sorted(counts.items())), n)

@@ -223,15 +223,19 @@ VERDICT = '"m":"1","n":"2","s_m":"0","s_n":"0","guard_failures":[]'
             lambda raw: from_json(raw, EulerCandidate),
             export_report(euler_candidate(2, 4)).replace(b'"rule":"euler"', b'"rule":"borho"'),
         ),
+        # nesting deeper than the parser's recursion limit
+        (lambda raw: from_json(raw, SearchReport), b"[" * 100000),
+        (candidate_from_json, b'{"rule":' * 50000),
     ],
     ids=[
         "list", "missing-field", "missing-member", "not-json", "unknown-kind", "bad-int",
         "string-as-bool", "float-as-int", "retired-oracle", "extra-key", "extra-pair-key",
-        "wrong-rule",
+        "wrong-rule", "deep-list", "deep-candidate",
     ],
 )
 def test_malformed_json_raises_unsupported_format(decode, raw):
     with pytest.raises(UnsupportedFormat, match="malformed") as caught:
         decode(raw)
     # the original error stays attached as the cause
-    assert isinstance(caught.value.__cause__, (AttributeError, KeyError, ValueError))
+    cause = caught.value.__cause__
+    assert isinstance(cause, (AttributeError, KeyError, RecursionError, ValueError))

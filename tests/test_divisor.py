@@ -4,18 +4,21 @@ import random
 from math import isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import amicable.divisor
+import amicable.numeric
 from amicable import (
     BadParameter,
     Classification,
     LimitTooLarge,
+    SieveTable,
     ZeroInput,
     aliquot_s,
     build_sieve,
     classify,
+    factorize,
     sigma,
     sigma_brute,
 )
@@ -180,8 +183,15 @@ def primes_above(n, count):
 @given(st.data())
 def test_table_lookup_beyond_limit_matches_oracles(data):
     limit = data.draw(st.integers(1, 3000), label="limit")
+    table = build_sieve(limit)
     n = data.draw(st.integers(limit + 1, 64 * limit), label="n")
-    assert build_sieve(limit).s(n) == aliquot_s(n) == sigma_brute(n) - n
+    assert table.s(n) == aliquot_s(n) == sigma_brute(n) - n
+    # the rough tail: k * p * q with primes p, q above 1000 reaches the rho splitter
+    # (q stays below 2**24 so rho finds it quickly; p reaches past 2**32)
+    p = sympy.nextprime(data.draw(st.integers(1000, 2**40), label="p"))
+    q = sympy.nextprime(data.draw(st.integers(1000, 2**24), label="q"))
+    n = data.draw(st.integers(1, 10**4), label="k") * p * q
+    assert table.s(n) == aliquot_s(n) == sympy.divisor_sigma(n) - n
 
 
 def test_table_lookup_inside_limit_reads_table():
@@ -195,13 +205,13 @@ def test_table_lookup_explicit_cases(monkeypatch):
     limit = 1000
     table = build_sieve(limit)
     calls = []
-    factorize = amicable.divisor.factorize
+    brent_factor = amicable.numeric._brent_factor
 
     def recorder(n):
         calls.append(n)
-        return factorize(n)
+        return brent_factor(n)
 
-    monkeypatch.setattr(amicable.divisor, "factorize", recorder)
+    monkeypatch.setattr(amicable.numeric, "_brent_factor", recorder)
     lookup = table.s
 
     assert lookup(limit + 1) == sigma_oracle(limit + 1) - (limit + 1)
@@ -217,11 +227,22 @@ def test_table_lookup_explicit_cases(monkeypatch):
     assert lookup(3 * m89) == 4 * (m89 + 1) - 3 * m89
     assert calls == []
 
-    # cofactors with two prime factors above 1000: only these are factorized
+    # cofactors with two prime factors above 1000: only these are split by rho
     rough = [1009 * 1013, 1009**2, 2 * 1009 * 1013, 12 * 1013 * 1019, 1009 * 1013 * 1019]
     for n in rough:
         assert lookup(n) == sigma_oracle(n) - n
-    assert calls == [1009 * 1013, 1009**2, 1009 * 1013, 1013 * 1019, 1009 * 1013 * 1019]
+    assert calls == [
+        1009 * 1013, 1009**2, 1009 * 1013, 1013 * 1019, 1009 * 1013 * 1019, 1013 * 1019,
+    ]
+
+    # a rough cofactor is prime-tested once, not again through sigma and factorize
+    tested = []
+    is_prime = amicable.numeric.is_prime
+    monkeypatch.setattr(amicable.numeric, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    factorize.cache_clear()
+    n = 2 * 1009 * 1013
+    assert SieveTable(1, [0, 0]).s(n) == sigma_oracle(n) - n
+    assert tested == [1009 * 1013]
 
 
 def test_classify_frozen_examples():

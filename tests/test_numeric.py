@@ -92,6 +92,16 @@ def test_is_prime_strong_pseudoprimes_rejected():
     # strong pseudoprimes to small bases; all composite
     for n in (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 52633, 3215031751):
         assert not is_prime(n), n
+    # the least strong pseudoprime to the first k prime bases, with k the length of the
+    # prefix of MR_BASES it passes, so a table of witness tiers one base short admits it;
+    # 341550071728321 is the least for both 7 and 8 bases, so it passes base 19 as well
+    tiers = [
+        (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+        (3474749660383, 6), (341550071728321, 8),
+    ]
+    for n, k in tiers:
+        assert [strong_probable_prime(n, a) for a in MR_BASES[: k + 1]] == [True] * k + [False], n
+        assert not is_prime(n), n
     # below 2**64, passes every base but 37
     assert [a for a in MR_BASES if not strong_probable_prime(3825123056546413051, a)] == [37]
     assert not is_prime(3825123056546413051)
