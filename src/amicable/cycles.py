@@ -42,7 +42,8 @@ class AliquotResult:
     entry_index: int | None = None
 
 
-# s(0) = s(1) = 0; every larger n goes through SieveTable.s's trial division
+# s(0) = s(1) = 0; SieveTable.s splits every larger n into its power of 2, its
+# 1000-smooth odd part and its rough part, and takes sigma of each on its own
 _UNIT_TABLE = SieveTable(1, [0, 0])
 _NO_STOPS = bytes(2)
 

@@ -8,8 +8,11 @@ multiplicative. The sieve fills a Python list, or an int64 numpy array when
 the caller asks for one and numpy imports; only the pair searches ask, so
 only they import numpy. `SieveTable.s`, the one s-value engine of the
 searches, `find_cycles` and `aliquot_sequence`, extends a table past its limit
-by stripping prime powers below 1000, and hands a rough cofactor once to the
-rho splitter, which prime-tests each piece at most once. Searches re-verify
+by splitting n into its power of 2, an odd part made of the primes below 1000
+(found by gcds with their product) and a rough rest, reading each from the
+table when it fits; a rough rest past the table goes once to the rho
+splitter, which prime-tests each piece at most once. `sigma`, `aliquot_s` and
+`factorize` keep plain trial division, an independent route. Searches re-verify
 their hits through the brute route and cycles through `aliquot_s`, so a
 defect in one path cannot silently corrupt results.
 """
@@ -20,7 +23,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import floordiv, mul, sub
 
 from .errors import BadParameter, LimitTooLarge, ZeroInput
@@ -93,6 +96,11 @@ def aliquot_s(n: int) -> int:
     return sigma(n) - n
 
 
+# The odd trial primes and their product, whose gcd with a number holds each
+# of its odd prime factors below 1000 once.
+_ODD_TRIAL_PRIMES = _TRIAL_PRIMES[1:]
+_ODD_TRIAL_PRODUCT = prod(_ODD_TRIAL_PRIMES)
+
 # Slots converted from sigma(n) to s(n) per slice, so the conversion never
 # holds a second copy of the whole table.
 _CHUNK = 1 << 16
@@ -105,21 +113,29 @@ class SieveTable:
     `s_values` is a list of ints, or an int64 numpy array when built by
     `build_sieve(limit, array=True)`; `s` returns a Python int for both. The
     searches and `find_cycles` build one with `build_sieve`; `aliquot_sequence`
-    walks a two-slot `SieveTable(1, [0, 0])`, so all its work is in `s`.
+    walks a two-slot `SieveTable(1, [0, 0])`, so all its work is in `s`. A
+    limit below 1 raises BadParameter: `s` reads sigma(1) = 1 from slot 1.
     """
 
     limit: int
     s_values: list[int]  # or numpy.ndarray of int64
 
+    def __post_init__(self):
+        if self.limit < 1:
+            raise BadParameter("a SieveTable needs slots 0 and 1, so a limit of at least 1")
+
     def s(self, n: int) -> int:
         """s(n) for any n >= 0, equal to `aliquot_s(n)`: every aliquot step's engine.
 
-        Up to the limit this reads the table. Beyond it, prime powers p**e with
-        p < 1000 are divided out of n until the cofactor is tabulated or proven
-        prime; s(n) is then the product of their sigma values, times the
-        cofactor's, minus n. A cofactor with no prime factor below 1000 goes
-        once to the rho splitter `_split_rough`, which prime-tests each piece
-        at most once, and its sigma comes from the pieces.
+        Up to the limit this reads the table. Beyond it, n = 2**k * m with m
+        odd, and sigma(2**k) = 2**(k + 1) - 1; m is read from the table when
+        it is within the limit. Otherwise repeated gcds with the product of
+        the odd primes below 1000 split m into a smooth part, made of those
+        primes, and a rough part, free of them. Each part within the limit is
+        read from the table; a smooth part beyond it is trial-divided until it
+        is used up or tabulated, and a rough part beyond it goes once to the
+        rho splitter `_split_rough`, which prime-tests each piece at most
+        once. s(n) is the product of the three sigma values, minus n.
         """
         s_values = self.s_values
         limit = self.limit
@@ -127,21 +143,34 @@ class SieveTable:
             if n < 0:
                 raise BadParameter("s expects a nonnegative integer")
             return int(s_values[n])
-        known = 1  # sigma of the prime powers divided out so far
-        rest = n
-        for p in _TRIAL_PRIMES:
-            if p * p > rest:
-                return known * (rest + 1) - n
-            if rest % p == 0:
-                rest //= p
-                term = p + 1
-                while rest % p == 0:
-                    rest //= p
-                    term = term * p + 1
-                known *= term
-                if rest <= limit:
-                    return known * (int(s_values[rest]) + rest) - n
-        return known * _sigma_of_powers(_split_rough(rest).items()) - n
+        twos = (n & -n).bit_length() - 1
+        known = (2 << twos) - 1  # sigma of the parts taken so far
+        odd = n >> twos
+        if odd <= limit:
+            return known * (int(s_values[odd]) + odd) - n
+        rough = odd
+        g = gcd(odd, _ODD_TRIAL_PRODUCT)
+        while g != 1:
+            rough //= g
+            g = gcd(rough, g)
+        smooth = odd // rough
+        if smooth > limit:
+            for p in _ODD_TRIAL_PRIMES:
+                if p * p > smooth:
+                    break  # smooth is a prime beyond the limit
+                if smooth % p == 0:
+                    smooth //= p
+                    term = p + 1
+                    while smooth % p == 0:
+                        smooth //= p
+                        term = term * p + 1
+                    known *= term
+                    if smooth <= limit:
+                        break
+        known *= int(s_values[smooth]) + smooth if smooth <= limit else smooth + 1
+        if rough <= limit:
+            return known * (int(s_values[rough]) + rough) - n
+        return known * _sigma_of_powers(_split_rough(rough).items()) - n
 
 
 def build_sieve(limit: int, *, array: bool = False) -> SieveTable:

@@ -2,9 +2,10 @@
 
 All functions work on Python's native arbitrary-precision integers, so there
 is no overflow to worry about anywhere in the package. Primality testing is
-deterministic below 2**64 (fixed Miller-Rabin witness set) and switches to a
-Baillie-PSW style combination (the same witnesses plus a strong Lucas test)
-above that bound; `prime_test_mode` reports which regime applies to a value.
+deterministic below 2**64 (Miller-Rabin with as many of the first twelve prime
+bases as the size of n needs) and switches to a Baillie-PSW style combination
+(all twelve bases plus a strong Lucas test) above that bound;
+`prime_test_mode` reports which regime applies to a value.
 """
 
 from __future__ import annotations
@@ -31,6 +32,22 @@ PRIME_DETERMINISTIC_BOUND = 1 << 64
 # ~ 3.18 * 10**23 (Sorenson and Webster; 3.3 * 10**24 needs base 41 as well),
 # comfortably covering the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime
+# bases, those k bases decide primality (Pomerance, Selfridge and Wagstaff,
+# Math. Comp. 35 (1980); Jaeschke, Math. Comp. 61 (1993)). psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases never pay; from psi_9 up all
+# twelve run.
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 
 def _sieve_primes(limit: int) -> tuple[int, ...]:
@@ -127,10 +144,12 @@ def _strong_lucas_prp(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test for nonnegative integers.
 
-    Deterministic for n < 2**64. Larger inputs get the same Miller-Rabin
-    rounds (twelve fixed bases) plus a strong Lucas test; no counterexample
-    to that combination is known, but the verdict is formally probabilistic,
-    which callers can surface via `prime_test_mode`.
+    Deterministic for n < 2**64: Miller-Rabin with the first k prime bases,
+    k chosen from n by `_MR_TIERS` (four bases below 3.2 * 10**9, all twelve
+    from 3.8 * 10**18). Larger inputs get all twelve rounds plus a strong
+    Lucas test; no counterexample to that combination is known, but the
+    verdict is formally probabilistic, which callers can surface via
+    `prime_test_mode`.
     """
     if n < 2:
         return False
@@ -145,7 +164,12 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    bases = _MR_BASES
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            bases = _MR_BASES[:k]
+            break
+    for a in bases:
         if _mr_composite_witness(a, d, s, n):
             return False
     if n < PRIME_DETERMINISTIC_BOUND:

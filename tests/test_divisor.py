@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amicable.divisor
 import amicable.numeric
 from amicable import (
     BadParameter,
@@ -179,6 +180,10 @@ def primes_above(n, count):
     return found
 
 
+# rough parts: none, a prime, a product of two primes, and a prime past 1000**2
+ROUGH_PARTS = (1, 1009, 1009 * 1013, 999983)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_table_lookup_beyond_limit_matches_oracles(data):
@@ -192,6 +197,14 @@ def test_table_lookup_beyond_limit_matches_oracles(data):
     q = sympy.nextprime(data.draw(st.integers(1000, 2**24), label="q"))
     n = data.draw(st.integers(1, 10**4), label="k") * p * q
     assert table.s(n) == aliquot_s(n) == sympy.divisor_sigma(n) - n
+    # 2**a * 3**b * 997**c * q: the odd part, its 1000-smooth part and its rough part q
+    # each fall inside or past the limit
+    a = data.draw(st.integers(0, 70), label="a")
+    b = data.draw(st.integers(0, 25), label="b")
+    c = data.draw(st.integers(0, 4), label="c")
+    q = data.draw(st.sampled_from(ROUGH_PARTS), label="q")
+    n = 2**a * 3**b * 997**c * q
+    assert table.s(n) == SieveTable(1, [0, 0]).s(n) == aliquot_s(n) == sympy.divisor_sigma(n) - n
 
 
 def test_table_lookup_inside_limit_reads_table():
@@ -199,6 +212,9 @@ def test_table_lookup_inside_limit_reads_table():
     assert [table.s(n) for n in range(501)] == table.s_values
     with pytest.raises(BadParameter):
         table.s(-1)
+    # past the limit, s reads sigma(1) from slot 1, so a table must hold it
+    with pytest.raises(BadParameter):
+        SieveTable(0, [0])
 
 
 def test_table_lookup_explicit_cases(monkeypatch):
@@ -243,6 +259,38 @@ def test_table_lookup_explicit_cases(monkeypatch):
     n = 2 * 1009 * 1013
     assert SieveTable(1, [0, 0]).s(n) == sigma_oracle(n) - n
     assert tested == [1009 * 1013]
+
+
+def test_table_lookup_peels_twos_smooth_and_rough_parts(monkeypatch):
+    limit = 20_000
+    tables = [build_sieve(limit), build_sieve(limit, array=True), SieveTable(1, [0, 0])]
+    split = []
+    split_rough = amicable.divisor._split_rough
+    monkeypatch.setattr(amicable.divisor, "_split_rough", lambda n: split.append(n) or split_rough(n))
+
+    def check(n, rough_past_limit):
+        want = aliquot_s(n)
+        assert want == sympy.divisor_sigma(n) - n, n
+        split.clear()
+        assert tables[0].s(n) == want, n
+        # only a rough part past the limit goes to the rho splitter
+        assert split == rough_past_limit, n
+        assert [table.s(n) for table in tables[1:]] == [want, want], n
+
+    for k in range(15, 90):
+        check(2**k, [])  # the odd part is 1
+    check(2**20 * 19997, [])  # the odd part is in the table
+    check(3**10 * 5 * 19997, [])  # the smooth part past the limit, the rough part inside it
+    check(2 * 3**10 * 5**7 * 997**2, [])  # the smooth part past the limit, a rough part of 1
+    check(3**10 * 997**3 * 1009, [])
+    check(15 * 1009 * 1013, [1009 * 1013])  # the smooth part inside, the rough part past it
+    check(2**5 * 15 * 999983, [999983])
+    check(3**12 * 999983**2, [999983**2])  # both past the limit
+    for a in (0, 1, 14, 64):
+        for b in (0, 1, 9, 20):
+            for c in (0, 1, 3):
+                for q in ROUGH_PARTS:
+                    check(2**a * 3**b * 997**c * q, [q] if q > limit else [])
 
 
 def test_classify_frozen_examples():

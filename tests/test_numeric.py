@@ -1,10 +1,12 @@
 """Numeric core: gcd, primality, factorization."""
 
 import random
+from math import isqrt
 
 import pytest
 import sympy
 
+import amicable.numeric
 from amicable import (
     BadParameter,
     Factorization,
@@ -88,29 +90,59 @@ def strong_probable_prime(n, a):
     return False
 
 
+# The least strong pseudoprime to the first k prime bases, with k the length of the
+# prefix of MR_BASES it passes, so a table of witness tiers one base short admits it.
+# 341550071728321 is the least for both 7 and 8 bases, so it passes base 19 as well;
+# 3825123056546413051, below 2**64, passes every base but 37.
+LEAST_STRONG_PSEUDOPRIMES = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 8), (3825123056546413051, 11),
+)
+
+
 def test_is_prime_strong_pseudoprimes_rejected():
     # strong pseudoprimes to small bases; all composite
     for n in (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 52633, 3215031751):
         assert not is_prime(n), n
-    # the least strong pseudoprime to the first k prime bases, with k the length of the
-    # prefix of MR_BASES it passes, so a table of witness tiers one base short admits it;
-    # 341550071728321 is the least for both 7 and 8 bases, so it passes base 19 as well
-    tiers = [
-        (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
-        (3474749660383, 6), (341550071728321, 8),
-    ]
-    for n, k in tiers:
+    for n, k in LEAST_STRONG_PSEUDOPRIMES:
         assert [strong_probable_prime(n, a) for a in MR_BASES[: k + 1]] == [True] * k + [False], n
         assert not is_prime(n), n
-    # below 2**64, passes every base but 37
-    assert [a for a in MR_BASES if not strong_probable_prime(3825123056546413051, a)] == [37]
-    assert not is_prime(3825123056546413051)
     # the least composites that pass the first twelve and the first thirteen prime
     # bases: only the strong Lucas stage rejects them
     for n in (318665857834031151167461, 3317044064679887385961981):
         assert all(strong_probable_prime(n, a) for a in MR_BASES), n
         assert not is_prime(n), n
     assert 318665857834031151167461 == 399165290221 * 798330580441
+
+
+def test_is_prime_tier_table_follows_the_pseudoprimes():
+    # below each least strong pseudoprime, one base more than the previous one passes
+    passes_before = [0] + [k for _, k in LEAST_STRONG_PSEUDOPRIMES[:-1]]
+    tiers = tuple((n, k + 1) for (n, _), k in zip(LEAST_STRONG_PSEUDOPRIMES, passes_before))
+    assert amicable.numeric._MR_TIERS == tiers
+    assert amicable.numeric._MR_BASES == MR_BASES
+    # the last one passes eleven bases, so all twelve run from it up to 2**64
+    assert LEAST_STRONG_PSEUDOPRIMES[-1][1] + 1 == len(MR_BASES)
+
+
+def test_is_prime_matches_sympy_in_every_tier():
+    rng = random.Random(20260)
+    bounds = [n for n, _ in LEAST_STRONG_PSEUDOPRIMES]
+    for lo, hi in zip([37 * 37] + bounds, bounds + [2**64, 2**80]):
+        for _ in range(300):
+            n = rng.randrange(lo, hi) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+        # a product of two primes above 37 reaches the Miller-Rabin rounds
+        for _ in range(20):
+            p = sympy.nextprime(rng.randrange(isqrt(lo), isqrt(hi)))
+            q = sympy.nextprime(rng.randrange(lo // p, hi // p))
+            assert not is_prime(p * q), (p, q)
+
+
+def test_is_prime_matches_sympy_around_each_tier_bound():
+    for bound, _ in LEAST_STRONG_PSEUDOPRIMES:
+        for n in range(bound - 4, bound + 5, 2):
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_is_prime_large_values_against_independent_oracle():
