@@ -9,6 +9,7 @@ never as cycles.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,18 +45,19 @@ class AliquotResult:
 
 # s(0) = s(1) = 0; SieveTable.s splits every larger n into its power of 2, its
 # 1000-smooth odd part and its rough part, and takes sigma of each on its own
-_UNIT_TABLE = SieveTable(1, [0, 0])
+_UNIT_TABLE = SieveTable(1, array("q", [0, 0]))
 _NO_STOPS = bytes(2)
 
 
-def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable, stops):
+def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable, stops, stops_past):
     """Iterate s from `start`: (trajectory list, outcome, cycle entry index or None).
 
     The one loop over s, shared by `aliquot_sequence` and `find_cycles`. The
     list follows `AliquotResult`; values past the table come from `table.s`.
-    `stops` is a bytes-like with one slot per index 0..table.limit: when the
-    next value is in the table and its slot is nonzero, the walk returns at
-    once with outcome None, leaving that value off the list. `start` itself is
+    `stops` is a bytes-like with one slot per index 0..table.limit, and
+    `stops_past` a set of values past table.limit: when the next value has a
+    nonzero slot or, past the table, is in the set, the walk returns at once
+    with outcome None, leaving that value off the list. `start` itself is
     never tested.
     """
     s_values, limit, lookup = table.s_values, table.limit, table.s
@@ -69,7 +71,7 @@ def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable, stops):
         if nxt == 0:
             path.append(0)
             return path, AliquotOutcome.REACHED_ZERO, None
-        if nxt <= limit and stops[nxt]:
+        if stops[nxt] if nxt <= limit else nxt in stops_past:
             return path, None, None
         if nxt in index:
             return path, AliquotOutcome.ENTERED_CYCLE, index[nxt]
@@ -93,7 +95,9 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
         raise BadParameter("max_steps must be at least 1")
     if ceiling < start:
         raise BadParameter("ceiling must not be below the starting value")
-    trajectory, outcome, entry = _walk(start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS)
+    trajectory, outcome, entry = _walk(
+        start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS, frozenset()
+    )
     fixed = trajectory[-1] if outcome is AliquotOutcome.FIXED_POINT else None
     cycle = None if entry is None else tuple(trajectory[entry:])
     return AliquotResult(start, tuple(trajectory), outcome, fixed, cycle, entry)
@@ -152,14 +156,17 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     VerificationFailed if that fails. Output is sorted, hence deterministic.
 
     Walks stop at values whose end is already known. A flag per table slot
-    marks them: a flagged start is skipped, a walk stops at a flagged value,
-    and every walk that does not run out of steps flags the in-table members
-    of its path. The trajectory of a flagged value reaches 0 or a perfect
-    number, enters a cycle already found, or passes 64 * limit before any
-    repeat; a repeat through the new walk's own prefix would have closed the
-    earlier walk first. So a walk that reaches a flagged value cannot add a
+    marks them in the table, and a set holds them past it: a flagged start is
+    skipped, a walk stops at a flagged value or one in the set, and every walk
+    that does not run out of steps flags the in-table members of its path and
+    adds the others to the set. The trajectory of such a value reaches 0 or a
+    perfect number, enters a cycle already found, or passes 64 * limit before
+    any repeat; a repeat through the new walk's own prefix would have closed
+    the earlier walk first. So a walk that reaches a known value cannot add a
     cycle, whatever its step budget. A walk that ran out of steps proves
-    nothing about other budgets, so its values stay unflagged.
+    nothing about other budgets, so its values stay unknown. Most starts
+    settle in one step: when s(start) is already known, the start is flagged
+    at once, as the walk would do after returning [start] with outcome None.
     """
     if limit < 2:
         raise BadParameter("cycle search limit must be at least 2")
@@ -167,13 +174,20 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
         raise BadParameter("cycles have length at least 2")
 
     table = build_sieve(limit)
+    s_values = table.s_values
     bound = 64 * limit
     found: set[tuple[int, ...]] = set()
     dead = bytearray(limit + 1)
+    dead_past: set[int] = set()
     for start in range(2, limit + 1):
         if dead[start]:
             continue
-        path, outcome, entry = _walk(start, max_len, bound, table, dead)
+        nxt = s_values[start]
+        # dead[start] is 0, so a perfect start, its own successor, walks
+        if dead[nxt] if nxt <= limit else nxt in dead_past:
+            dead[start] = 1
+            continue
+        path, outcome, entry = _walk(start, max_len, bound, table, dead, dead_past)
         if entry is not None:
             # a fixed point has no entry, so the cycle has at least two members
             found.add(_canonical(path[entry:]))
@@ -181,6 +195,8 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
             for value in path:
                 if value <= limit:
                     dead[value] = 1
+                else:
+                    dead_past.add(value)
 
     cycles = []
     for members in sorted(found):

@@ -4,22 +4,25 @@ Three routes to the divisor sum are kept side by side on purpose: `sigma`
 multiplies geometric-series terms off the factorization, `sigma_brute`
 enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
 range by multiplying in sigma(p**e) for every prime power, since sigma is
-multiplicative. The sieve fills a Python list, or an int64 numpy array when
-the caller asks for one and numpy imports; only the pair searches ask, so
-only they import numpy. `SieveTable.s`, the one s-value engine of the
-searches, `find_cycles` and `aliquot_sequence`, extends a table past its limit
-by splitting n into its power of 2, an odd part made of the primes below 1000
-(found by gcds with their product) and a rough rest, reading each from the
-table when it fits; a rough rest past the table goes once to the rho
-splitter, which prime-tests each piece at most once. `sigma`, `aliquot_s` and
-`factorize` keep plain trial division, an independent route. Searches re-verify
-their hits through the brute route and cycles through `aliquot_s`, so a
-defect in one path cannot silently corrupt results.
+multiplicative. The sieve fills a stdlib `array('q')`, or an int64 numpy array
+when the caller asks for one and numpy imports; only the pair searches ask, so
+only they import numpy. Either storage holds 8 bytes per entry. `SieveTable.s`,
+the one s-value engine of the searches, `find_cycles` and `aliquot_sequence`,
+extends a table past its limit by splitting n into its power of 2, an odd part
+made of the primes below 1000 (found by gcds with their product) and a rough
+rest, reading each from the table when it fits; a rough rest past the table
+goes once to the rho splitter, which prime-tests each piece at most once.
+`find_cycles` keeps a set of the values past its table whose walk's end is
+known, so walks that share a stretch past the table stop where it begins.
+`sigma`, `aliquot_s` and `factorize` keep plain trial division, an independent
+route. Searches re-verify their hits through the brute route and cycles
+through `aliquot_s`, so a defect in one path cannot silently corrupt results.
 """
 
 from __future__ import annotations
 
 import os
+from array import array as pyarray
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -110,15 +113,18 @@ _CHUNK = 1 << 16
 class SieveTable:
     """Aliquot sums for every index up to `limit`; treat as read-only.
 
-    `s_values` is a list of ints, or an int64 numpy array when built by
-    `build_sieve(limit, array=True)`; `s` returns a Python int for both. The
-    searches and `find_cycles` build one with `build_sieve`; `aliquot_sequence`
-    walks a two-slot `SieveTable(1, [0, 0])`, so all its work is in `s`. A
-    limit below 1 raises BadParameter: `s` reads sigma(1) = 1 from slot 1.
+    `s_values` is a stdlib `array('q')`, or an int64 numpy array when built
+    by `build_sieve(limit, array=True)` with numpy installed; both cost 8 bytes
+    per entry, and `s` returns a Python int for both. The searches and
+    `find_cycles` build one with `build_sieve`; `aliquot_sequence` walks a
+    two-slot table holding [0, 0], so all its work is in `s`. `find_cycles`
+    keeps, beside the table, a set of the values past it whose walk's end is
+    known. A limit below 1 raises BadParameter: `s` reads sigma(1) = 1 from
+    slot 1.
     """
 
     limit: int
-    s_values: list[int]  # or numpy.ndarray of int64
+    s_values: pyarray  # typecode "q", or a numpy.ndarray of int64
 
     def __post_init__(self):
         if self.limit < 1:
@@ -177,19 +183,22 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     """Tabulate s(n) for all n <= limit with a multiplicative prime-power sieve.
 
     Every slot starts at 1. For each prime p and each power q = p**e <= limit,
-    the slots of all multiples of q are multiplied by sigma(p**e) and, when
-    e > 1, divided by sigma(p**(e-1)). A slot n with p**e exactly dividing it
+    the slots of all multiples of q are divided by sigma(p**(e-1)) when e > 1
+    and then multiplied by sigma(p**e). A slot n with p**e exactly dividing it
     is hit by the passes for p, ..., p**e in turn, so it ends up holding the
     factor sigma(p**e); each division removes a factor the previous pass
-    multiplied in, so it is exact. Since sigma is multiplicative, slot n then
-    holds sigma(n), and n is subtracted slice by slice. Slots 0 and 1 hold 0.
-    The slice arithmetic runs inside `map`, not in a Python-level loop.
+    multiplied in, so it is exact, and every slot holds a product of sigma
+    over some of its own prime powers, never more than sigma(n). Since sigma
+    is multiplicative, slot n then holds sigma(n), and n is subtracted slice
+    by slice. Slots 0 and 1 hold 0. The table is a stdlib `array('q')` of 8
+    bytes per entry, exact by `_array_sieve`'s bound on sigma; the slice
+    arithmetic runs inside `map`, not in a Python-level loop.
 
     With `array=True` the table is an int64 numpy array filled by
-    `_array_sieve`, or the list above when numpy does not import. Raises
-    LimitTooLarge when limit + 1 entries exceed the budget, which is the
-    AMICABLE_SIEVE_BUDGET variable when set and 2**31 otherwise, whichever
-    storage is chosen, and BadParameter when that variable is not an integer.
+    `_array_sieve`, or the `array('q')` above when numpy does not import.
+    Raises LimitTooLarge when limit + 1 entries exceed the budget, which is
+    the AMICABLE_SIEVE_BUDGET variable when set and 2**31 otherwise, and
+    BadParameter when that variable is not an integer.
     """
     if limit < 1:
         raise BadParameter("sieve limit must be at least 1")
@@ -207,34 +216,33 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
             pass
         else:
             return SieveTable(limit, _array_sieve(numpy, limit))
-    sig = [1] * (limit + 1)
+    sig = pyarray("q", [1]) * (limit + 1)
     for p in _sieve_primes(limit):
         q, term, prev = p, p + 1, 1
         while q <= limit:
-            if prev == 1:
-                sig[q::q] = map(mul, sig[q::q], repeat(term))
-            else:
-                sig[q::q] = map(floordiv, map(mul, sig[q::q], repeat(term)), repeat(prev))
+            view = sig[q::q]  # a copy, written back below
+            if prev != 1:
+                view = map(floordiv, view, repeat(prev))
+            sig[q::q] = pyarray("q", map(mul, view, repeat(term)))
             q, term, prev = q * p, term * p + 1, term
     for lo in range(0, limit + 1, _CHUNK):
         hi = min(lo + _CHUNK, limit + 1)
-        sig[lo:hi] = map(sub, sig[lo:hi], range(lo, hi))
+        sig[lo:hi] = pyarray("q", map(sub, sig[lo:hi], range(lo, hi)))
     sig[0] = 0
     return SieveTable(limit, sig)
 
 
 def _array_sieve(np, limit: int):
-    """The prime-power sieve of `build_sieve` on an int64 array.
+    """The prime-power sieve of `build_sieve` on an int64 numpy array.
 
-    Primes up to sqrt(limit) take the list sieve's passes, except that a
-    power's slots are divided by sigma(p**(e-1)) before they are multiplied by
-    sigma(p**e): every slot then holds a product of sigma(p**j) over some of
-    its own prime powers, so no intermediate value exceeds sigma(n). After
-    those passes a slot above sqrt(limit) still holding 1 has no prime factor
-    up to sqrt(limit), so it is a prime. Such a prime p divides a slot n at
-    most once (p * p > limit), and n = k * p with k < p, so one fancy-indexed
-    update per cofactor k multiplies every p <= limit // k into its slot k * p:
-    about sqrt(limit) array operations in all, not one per prime.
+    Primes up to sqrt(limit) take the `array('q')` sieve's passes, dividing a
+    power's slots by sigma(p**(e-1)) before multiplying them by sigma(p**e),
+    so no intermediate value exceeds sigma(n). After those passes a slot above
+    sqrt(limit) still holding 1 has no prime factor up to sqrt(limit), so it
+    is a prime. Such a prime p divides a slot n at most once (p * p > limit),
+    and n = k * p with k < p, so one fancy-indexed update per cofactor k
+    multiplies every p <= limit // k into its slot k * p: about sqrt(limit)
+    array operations in all, not one per prime.
 
     int64 is exact because sigma(n) < 7n for every n below 2**58 (Robin's
     unconditional bound sigma(n) < n (e**gamma ln ln n + 0.6483 / ln ln n)),

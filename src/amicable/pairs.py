@@ -124,16 +124,17 @@ def _worker_init(table: SieveTable) -> None:
 def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, int]]:
     """Pairs (m, n) with lo <= m < hi, m < n, s(m) = n + shift and s(n) = m + shift.
 
-    On an array-backed table the in-table test runs vectorized over blocks of
-    at most _CHUNK values of m, so temporaries stay a few blocks' worth, and
-    only partners past the limit go to `table.s` one by one. On a list-backed
-    table the loop reads the list directly. Pairs come out as Python ints.
+    On a numpy table the in-table test runs vectorized over blocks of at most
+    _CHUNK values of m, so temporaries stay a few blocks' worth, and only
+    partners past the limit go to `table.s` one by one. On the stdlib
+    `array('q')` table the loop reads it directly. Pairs come out as Python
+    ints.
     """
     s_values = table.s_values
     limit = table.limit
     lookup = table.s
     found = []
-    if isinstance(s_values, list):
+    if not hasattr(s_values, "dtype"):  # only the numpy table has a dtype
         for m in range(lo, hi):
             n = s_values[m] - shift
             if n > m and (s_values[n] if n <= limit else lookup(n)) == m + shift:
@@ -197,8 +198,8 @@ def search_amicable(
     """All amicable pairs (m, n) with m < n and m <= limit.
 
     The scan reads one table from `build_sieve(limit, array=True)`: an int64
-    numpy array when numpy is installed, a list otherwise, within the sieve
-    budget either way. Each hit is re-verified with sigma_brute, raising
+    numpy array when numpy is installed, a stdlib `array('q')` otherwise, within
+    the sieve budget either way. Each hit is re-verified with sigma_brute, raising
     VerificationFailed on a disagreement.
     `parallel` partitions the scan range across `workers` processes (default:
     the CPU count, at most 8); the merged result is sorted, so output does not

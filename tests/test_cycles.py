@@ -234,12 +234,21 @@ def test_find_cycles_matches_walk_by_aliquot_s():
 
 
 # walks that run out of steps must not mark their values: if they did, the
-# three examples would lose (1184, 1210), then (2620, 2924), then Poulet's 5-cycle
+# first three examples would lose (1184, 1210), then (2620, 2924), then Poulet's
+# 5-cycle. At the small limits below them most values lie past the table, so
+# the set of known values there and the one-step settling of starts do most of
+# the stopping: (250, 30) loses (220, 284) if a start settles on any successor
+# past the table, and (1190, 3) loses (1184, 1210) if the set takes the values
+# of walks that ran out of steps
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 3000), st.integers(2, 40))
 @example(1500, 2)
 @example(3000, 3)
 @example(13_000, 5)
+@example(60, 30)
+@example(250, 30)
+@example(300, 40)
+@example(1190, 3)
 def test_find_cycles_matches_walk_by_aliquot_s_on_drawn_bounds(limit, max_len):
     assert [c.members for c in find_cycles(limit, max_len)] == cycles_by_aliquot_s(limit, max_len)
 
@@ -257,3 +266,19 @@ def test_find_cycles_stops_at_values_with_known_end(monkeypatch):
     monkeypatch.setattr(cycles_module, "_walk", counting_walk)
     assert len(find_cycles(20_000, 30)) == 10
     assert sum(walked) < 100_000
+
+
+def test_find_cycles_looks_up_known_values_past_the_table_once(monkeypatch):
+    # without the set of known values past the table this bound makes 15,906
+    # lookups past it, for 7,349 distinct values
+    past = []
+    lookup = cycles_module.SieveTable.s
+
+    def counting_lookup(table, n):
+        if n > table.limit:
+            past.append(n)
+        return lookup(table, n)
+
+    monkeypatch.setattr(cycles_module.SieveTable, "s", counting_lookup)
+    assert len(find_cycles(20_000, 30)) == 10
+    assert len(past) < 12_000

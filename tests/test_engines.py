@@ -1,10 +1,10 @@
-"""The two table storages: the int64 numpy sieve against the list sieve,
-which storage the pair searches scan, the type of a table lookup on either,
-the code paths that must never import numpy, and the search pool under the
-spawn and forkserver start methods. That every engine gives the same search
-report is checked in test_pairs.py.
+"""The two table storages: the int64 numpy sieve against the stdlib
+`array('q')` sieve, which storage the pair searches scan, the type of a table
+lookup on either, the code paths that must never import numpy, and the search
+pool under the spawn and forkserver start methods. That every engine gives the
+same search report is checked in test_pairs.py.
 
-Tests of the array kernel skip when numpy is not installed; the list-engine
+Tests of the numpy kernel skip when numpy is not installed; the stdlib-engine
 checks run either way.
 """
 
@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from array import array as stdarray
 from pathlib import Path
 
 import pytest
@@ -36,8 +37,8 @@ needs_numpy = pytest.mark.skipif(
 @needs_numpy
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5000))
-def test_array_sieve_equals_list_sieve(limit):
-    assert build_sieve(limit, array=True).s_values.tolist() == build_sieve(limit).s_values
+def test_array_sieve_equals_stdlib_sieve(limit):
+    assert build_sieve(limit, array=True).s_values.tolist() == build_sieve(limit).s_values.tolist()
 
 
 @needs_numpy
@@ -45,14 +46,15 @@ def test_array_sieve_equals_list_sieve(limit):
 def test_array_sieve_at_the_square_root_boundary(p):
     # primes up to isqrt(limit) take the power passes, the rest the cofactor pass
     for limit in (p * p - 1, p * p, p * p + 1):
-        assert build_sieve(limit, array=True).s_values.tolist() == build_sieve(limit).s_values
+        expected = build_sieve(limit).s_values.tolist()
+        assert build_sieve(limit, array=True).s_values.tolist() == expected
 
 
 @needs_numpy
-def test_array_sieve_equals_list_sieve_at_2e5():
+def test_array_sieve_equals_stdlib_sieve_at_2e5():
     table = build_sieve(200_000, array=True)
     assert table.s_values.dtype.name == "int64"
-    assert table.s_values.tolist() == build_sieve(200_000).s_values
+    assert table.s_values.tolist() == build_sieve(200_000).s_values.tolist()
 
 
 @needs_numpy
@@ -69,12 +71,13 @@ def test_array_sieve_intermediates_never_exceed_sigma():
             return getattr(numpy, name)
 
     limit = 9239
-    assert _array_sieve(Int16Numpy(), limit).tolist() == build_sieve(limit).s_values
+    assert _array_sieve(Int16Numpy(), limit).tolist() == build_sieve(limit).s_values.tolist()
 
 
-def test_array_request_without_numpy_gives_the_list_table(monkeypatch):
+def test_array_request_without_numpy_gives_the_stdlib_table(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
     table = build_sieve(300, array=True)
+    assert type(table.s_values) is stdarray and table.s_values.typecode == "q"
     assert table.s_values == build_sieve(300).s_values
 
 
@@ -101,7 +104,10 @@ def test_searches_scan_an_array_table(monkeypatch):
 def test_table_lookups_are_python_ints(array):
     limit = 1000
     table = build_sieve(limit, array=array)
-    assert isinstance(table.s_values, list) is not array
+    if array:
+        assert table.s_values.dtype.name == "int64"
+    else:
+        assert type(table.s_values) is stdarray and table.s_values.typecode == "q"
     # inside the table, at its edge, past it (prime, shrinking into the table, rough)
     for n in (0, 1, 2, 220, limit - 1, limit, limit + 1, 1009, 2 * 997, 1009 * 1013):
         value = table.s(n)
