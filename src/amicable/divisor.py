@@ -7,11 +7,15 @@ range by multiplying in sigma(p**e) for every prime power, since sigma is
 multiplicative. The sieve fills a stdlib `array('q')`, or an int64 numpy array
 when the caller asks for one and numpy imports; only the pair searches ask, so
 only they import numpy. Either storage holds 8 bytes per entry. `SieveTable.s`,
-the one s-value engine of the searches, `find_cycles` and `aliquot_sequence`,
-extends a table past its limit by splitting n into its power of 2, an odd part
-made of the primes below 1000 (found by gcds with their product) and a rough
-rest, reading each from the table when it fits; a rough rest past the table
-goes once to the rho splitter, which prime-tests each piece at most once.
+the s-value engine of `find_cycles`, `aliquot_sequence` and the `array('q')`
+search scan, extends a table past its limit by splitting n into its power of
+2, an odd part made of the primes below 1000 (found by gcds with their
+product) and a rough rest, reading each from the table when it fits; a rough
+rest past the table goes once to the rho splitter, which prime-tests each
+piece at most once. The numpy search scan settles its partners past the table
+in batches with `_array_s`, the same split on int64 arrays: the power of 2,
+then trial division of the odd part by the table's own primes until the rest
+fits the table or must be a prime.
 `find_cycles` keeps a set of the values past its table whose walk's end is
 known, so walks that share a stretch past the table stop where it begins.
 `sigma`, `aliquot_s` and `factorize` keep plain trial division, an independent
@@ -117,7 +121,10 @@ class SieveTable:
     by `build_sieve(limit, array=True)` with numpy installed; both cost 8 bytes
     per entry, and `s` returns a Python int for both. The searches and
     `find_cycles` build one with `build_sieve`; `aliquot_sequence` walks a
-    two-slot table holding [0, 0], so all its work is in `s`. `find_cycles`
+    two-slot table holding [0, 0], so all its work is in `s`. `s` is the one
+    scalar s-value engine: the `array('q')` search scan calls it for each
+    partner past the table, while the numpy scan settles those partners in
+    arrays with `_array_s`, by the same split. `find_cycles`
     keeps, beside the table, a set of the values past it whose walk's end is
     known. A limit below 1 raises BadParameter: `s` reads sigma(1) = 1 from
     slot 1.
@@ -268,6 +275,57 @@ def _array_sieve(np, limit: int):
         sig[lo:hi] -= np.arange(lo, hi, dtype=np.int64)
     sig[0] = 0
     return sig
+
+
+def _array_s(np, table: SieveTable, ns):
+    """int64 array of `table.s(n)` for an int64 array of n, every n >= 1.
+
+    The split of `SieveTable.s`, vectorized: the power of 2 is the low set
+    bit, with sigma(2**k) = 2 * low - 1, and the odd rest is trial-divided by
+    the table's own odd primes (the slots holding s = 1) in increasing order,
+    each prime power's sigma built by Horner's rule. A value settles as soon
+    as its rest fits the table, sigma(rest) = s(rest) + rest, since the rest
+    is coprime to what was stripped, or is below the square of the next prime
+    to try, so that it is a prime. Only a rest that outlasts every prime of a
+    table too small to reach its square root goes to scalar `table.s`.
+    int64 is exact as long as sigma(n) is, which `_array_sieve`'s bound gives
+    for every partner of a search.
+    """
+    s_values, limit = table.s_values, table.limit
+    low = ns & -ns
+    known = 2 * low - 1  # sigma of the parts stripped so far
+    rest = ns // low
+    out = np.empty_like(ns)
+    where = np.arange(len(ns))
+    bound = min(isqrt(int(rest.max(initial=0))), limit)
+    primes = (np.flatnonzero(s_values[3 : bound + 1 : 2] == 1) * 2 + 3).tolist()
+    last = 0  # the prime at the last settling, which is exact at any prime
+    for p in primes + [bound + 1]:  # past the last prime, every rest below (bound + 1)**2 is prime
+        if 2 * p >= 3 * last or p > bound:
+            last = p
+            pending = rest >= max(limit + 1, p * p)
+            if not pending.all():
+                done = np.flatnonzero(~pending)
+                r = rest[done]
+                fits = r <= limit
+                out[where[done]] = known[done] * np.where(fits, s_values[np.where(fits, r, 0)] + r, r + 1)
+                keep = np.flatnonzero(pending)
+                rest, known, where = rest[keep], known[keep], where[keep]
+            if p > bound or not len(rest):
+                break
+        hit = np.flatnonzero(rest % p == 0)
+        if len(hit):
+            r, term = rest[hit] // p, np.full(len(hit), p + 1, dtype=ns.dtype)
+            again = np.flatnonzero(r % p == 0)
+            while len(again):
+                r[again] //= p
+                term[again] = term[again] * p + 1
+                again = again[r[again] % p == 0]
+            rest[hit] = r
+            known[hit] *= term
+    for i, k, r in zip(where.tolist(), known.tolist(), rest.tolist()):
+        out[i] = k * (table.s(r) + r)
+    return out - ns
 
 
 class Classification(str, Enum):

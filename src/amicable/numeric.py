@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import BadParameter, ZeroInput
@@ -56,7 +57,7 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(limit + 1), flags))
 
 
 _TRIAL_LIMIT = 1000
@@ -222,7 +223,7 @@ def _brent_factor(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r <<= 1
@@ -232,7 +233,7 @@ def _brent_factor(n: int) -> int:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
         if g != n:
             return g
         c += 1

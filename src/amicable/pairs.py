@@ -2,9 +2,11 @@
 
 A pair (m, n) is amicable when s(m) = n and s(n) = m with m != n, and
 betrothed when s(m) = n + 1 and s(n) = m + 1. Searches anchor on the smaller
-member m <= limit in one `SieveTable`, whose `s` looks up partners beyond the
-limit. Every hit is re-verified against `sigma_brute` before it is reported;
-a disagreement raises VerificationFailed, which `python -O` does not remove.
+member m <= limit in one `SieveTable`. Partners beyond the limit are looked up
+by the split of `SieveTable.s`, run on int64 arrays over the numpy table and
+called once per partner over the `array('q')` table. Every hit is re-verified
+against `sigma_brute` before it is reported; a disagreement raises
+VerificationFailed, which `python -O` does not remove.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .divisor import _CHUNK, SieveTable, aliquot_s, build_sieve, sigma_brute
+from .divisor import _CHUNK, SieveTable, _array_s, aliquot_s, build_sieve, sigma_brute
 from .errors import BadParameter, VerificationFailed
 
 
@@ -125,10 +127,13 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
     """Pairs (m, n) with lo <= m < hi, m < n, s(m) = n + shift and s(n) = m + shift.
 
     On a numpy table the in-table test runs vectorized over blocks of at most
-    _CHUNK values of m, so temporaries stay a few blocks' worth, and only
-    partners past the limit go to `table.s` one by one. On the stdlib
-    `array('q')` table the loop reads it directly. Pairs come out as Python
-    ints.
+    _CHUNK values of m, so temporaries stay a few blocks' worth. Partners past
+    the limit are collected across blocks and settled by `_array_s`, the split
+    of `SieveTable.s` on int64 arrays, in batches of at most _CHUNK // 4, so
+    the kernel's per-prime steps are shared by many lookups while memory stays
+    bounded. On the stdlib `array('q')` table the loop reads it directly and
+    calls `table.s` for each partner past the limit. Pairs come out as Python
+    ints, in no particular order.
     """
     s_values = table.s_values
     limit = table.limit
@@ -142,6 +147,8 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
         return found
     import numpy as np
 
+    batch = _CHUNK // 4
+    far_m, far_n, held = [], [], 0  # partners past the limit, not yet settled
     for start in range(lo, hi, _CHUNK):
         ms = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
         ns = s_values[start : start + len(ms)] - shift
@@ -149,9 +156,20 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
         inside = inside[s_values[ns[inside]] == ms[inside] + shift]
         found += zip(ms[inside].tolist(), ns[inside].tolist())
         beyond = np.flatnonzero(ns > limit)
-        for m, n in zip(ms[beyond].tolist(), ns[beyond].tolist()):
-            if lookup(n) == m + shift:
-                found.append((m, n))
+        far_m.append(ms[beyond])
+        far_n.append(ns[beyond])
+        held += len(beyond)
+        del ms, ns, inside, beyond  # the block's arrays go before the kernel makes its own
+        last = start + _CHUNK >= hi
+        if held < batch and not last:
+            continue
+        m_far, n_far = np.concatenate(far_m), np.concatenate(far_n)
+        cut = held if last else held - held % batch
+        far_m, far_n, held = [m_far[cut:].copy()], [n_far[cut:].copy()], held - cut
+        for i in range(0, cut, batch):
+            m, n = m_far[i : i + batch], n_far[i : i + batch]
+            hit = np.flatnonzero(_array_s(np, table, n) == m + shift)
+            found += zip(m[hit].tolist(), n[hit].tolist())
     return found
 
 
@@ -199,8 +217,11 @@ def search_amicable(
 
     The scan reads one table from `build_sieve(limit, array=True)`: an int64
     numpy array when numpy is installed, a stdlib `array('q')` otherwise, within
-    the sieve budget either way. Each hit is re-verified with sigma_brute, raising
-    VerificationFailed on a disagreement.
+    the sieve budget either way. Partners past the limit are looked up by the
+    split of `SieveTable.s`: the numpy scan runs it on int64 arrays
+    (`divisor._array_s`), the `array('q')` scan calls `SieveTable.s` for each.
+    Each hit is re-verified with sigma_brute, raising VerificationFailed on a
+    disagreement.
     `parallel` partitions the scan range across `workers` processes (default:
     the CPU count, at most 8); the merged result is sorted, so output does not
     depend on scheduling.

@@ -1,8 +1,9 @@
 """The two table storages: the int64 numpy sieve against the stdlib
-`array('q')` sieve, which storage the pair searches scan, the type of a table
-lookup on either, the code paths that must never import numpy, and the search
-pool under the spawn and forkserver start methods. That every engine gives the
-same search report is checked in test_pairs.py.
+`array('q')` sieve, which storage the pair searches scan, the array kernel
+that settles the numpy scan's partners past the table against `SieveTable.s`,
+the type of a table lookup on either, the code paths that must never import
+numpy, and the search pool under the spawn and forkserver start methods. That
+every engine gives the same search report is checked in test_pairs.py.
 
 Tests of the numpy kernel skip when numpy is not installed; the stdlib-engine
 checks run either way.
@@ -17,12 +18,13 @@ from array import array as stdarray
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amicable
-from amicable import build_sieve, search_amicable, search_betrothed
-from amicable.divisor import _array_sieve
+from amicable import SieveTable, aliquot_s, build_sieve, search_amicable, search_betrothed
+from amicable.divisor import _array_s, _array_sieve
 
 SRC = str(Path(amicable.__file__).resolve().parent.parent)
 
@@ -79,6 +81,64 @@ def test_array_request_without_numpy_gives_the_stdlib_table(monkeypatch):
     table = build_sieve(300, array=True)
     assert type(table.s_values) is stdarray and table.s_values.typecode == "q"
     assert table.s_values == build_sieve(300).s_values
+
+
+# -- partner lookups past the table -------------------------------------------
+
+
+def array_s(table, ns):
+    import numpy
+
+    return _array_s(numpy, table, numpy.array(ns, dtype=numpy.int64)).tolist()
+
+
+@pytest.fixture
+def table_s_calls(monkeypatch):
+    """The arguments of every `SieveTable.s` call made while the test runs."""
+    calls = []
+    lookup = SieveTable.s
+    monkeypatch.setattr(SieveTable, "s", lambda table, n: calls.append(n) or lookup(table, n))
+    return calls
+
+
+@needs_numpy
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_array_s_equals_table_s(data):
+    limit = data.draw(st.integers(2, 3000), label="limit")
+    table = build_sieve(limit, array=True)
+    ns = data.draw(st.lists(st.integers(limit + 1, 8 * limit), min_size=1, max_size=40), label="ns")
+    assert array_s(table, ns) == [table.s(n) for n in ns]
+
+
+@needs_numpy
+@pytest.mark.parametrize("limit", [2, 3, 30, 1000, 3000])
+def test_array_s_explicit_cases(limit):
+    table = build_sieve(limit, array=True)
+    above = list(sympy.primerange(1000, 1100))
+    ns = [2**k for k in range(1, 45)]
+    ns += [p**e for p in (3, 5, 7, 31, 991, 997) for e in range(2, 12) if p**e < 2**45]
+    ns += [p * q for p, q in zip(above, reversed(above))] + [6 * p * q for p, q in zip(above, above[1:])]
+    ns = [n for n in ns if n > limit]
+    assert array_s(table, ns) == [table.s(n) for n in ns] == [aliquot_s(n) for n in ns]
+
+
+@needs_numpy
+def test_array_s_hands_rests_past_a_tiny_table_to_table_s(table_s_calls):
+    # no prime above 30 is in the table, so an odd rest past 31**2 free of the
+    # primes up to 30 can only be settled by the scalar lookup
+    ns = [2**40 + k for k in range(-64, 64)] + [2**10 * 1000003 * 1000033]
+    expected = [aliquot_s(n) for n in ns]
+    assert array_s(build_sieve(30, array=True), ns) == expected
+    assert table_s_calls and all(n % 2 and n > 31**2 for n in table_s_calls)
+
+
+@needs_numpy
+def test_searches_settle_partners_past_the_table_in_arrays(table_s_calls):
+    # each search has 6,212 partners past the table, all settled in arrays
+    assert len(search_amicable(10**5).pairs) == 13
+    assert len(search_betrothed(10**5).pairs) == 9
+    assert table_s_calls == []
 
 
 # -- searches and types -------------------------------------------------------
