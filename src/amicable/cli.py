@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 1 when a check or verification came out negative,
 2 on usage errors (bad arguments, out-of-domain values, unsupported formats).
-Output is deterministic for identical invocations, including under
---parallel.
+Output is deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default: text)",
     )
-    searching = argparse.ArgumentParser(add_help=False, parents=[common])
-    searching.add_argument(
-        "--parallel", action="store_true",
-        help="partition searches across worker processes",
-    )
 
     parser = argparse.ArgumentParser(
         prog="amicable",
@@ -76,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_nat)
     p.add_argument("--betrothed", action="store_true", help="test the betrothed condition")
 
-    p = command("search", _cmd_search, [searching], "find all pairs up to a limit")
+    p = command("search", _cmd_search, [common], "find all pairs up to a limit")
     p.add_argument("--max", type=_nat, required=True, dest="limit")
     p.add_argument("--betrothed", action="store_true", help="search betrothed pairs")
 
@@ -113,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("verify-known", _cmd_verify_known, [common], "re-verify the built-in catalog")
 
-    p = command("audit", _cmd_audit, [searching], "search then audit parity and gcds")
+    p = command("audit", _cmd_audit, [common], "search then audit parity and gcds")
     p.add_argument("--max", type=_nat, required=True, dest="limit")
 
     return parser
@@ -156,7 +150,7 @@ def _cmd_check_pair(args) -> int:
 
 def _cmd_search(args) -> int:
     searcher = search_betrothed if args.betrothed else search_amicable
-    report = searcher(args.limit, parallel=args.parallel)
+    report = searcher(args.limit)
     lines = [f"{m} {n}" for m, n in report.pairs]
     lines.append(
         f"pairs={len(report.pairs)} all_even={_bool_word(report.all_even)} "
@@ -259,7 +253,7 @@ def _cmd_verify_known(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report = search_amicable(args.limit, parallel=args.parallel)
+    report = search_amicable(args.limit)
     result = audit(report)
     line = (
         f"pairs={len(report.pairs)} all_even={_bool_word(result.all_even)} "

@@ -127,13 +127,15 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
     """Pairs (m, n) with lo <= m < hi, m < n, s(m) = n + shift and s(n) = m + shift.
 
     On a numpy table the in-table test runs vectorized over blocks of at most
-    _CHUNK values of m, so temporaries stay a few blocks' worth. Partners past
-    the limit are collected across blocks and settled by `_array_s`, the split
-    of `SieveTable.s` on int64 arrays, in batches of at most _CHUNK // 4, so
-    the kernel's per-prime steps are shared by many lookups while memory stays
-    bounded. On the stdlib `array('q')` table the loop reads it directly and
-    calls `table.s` for each partner past the limit. Pairs come out as Python
-    ints, in no particular order.
+    _CHUNK values of m, so temporaries stay a few blocks' worth. The m whose
+    partner lies past the limit are held across blocks; once they number
+    _CHUNK // 4, and after the last block, their partners are re-read from the
+    table and settled in one call of `_array_s`, the split of `SieveTable.s`
+    on int64 arrays. So the kernel's per-prime steps are shared by many
+    lookups, while no call takes _CHUNK // 4 + _CHUNK values or more. On the
+    stdlib `array('q')` table the loop reads it directly and calls `table.s`
+    for each partner past the limit. Pairs come out as Python ints, in no
+    particular order.
     """
     s_values = table.s_values
     limit = table.limit
@@ -147,29 +149,22 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
         return found
     import numpy as np
 
-    batch = _CHUNK // 4
-    far_m, far_n, held = [], [], 0  # partners past the limit, not yet settled
+    far, held = [], 0  # the m whose partner lies past the limit, not yet settled
     for start in range(lo, hi, _CHUNK):
         ms = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
         ns = s_values[start : start + len(ms)] - shift
         inside = np.flatnonzero((ns > ms) & (ns <= limit))
         inside = inside[s_values[ns[inside]] == ms[inside] + shift]
         found += zip(ms[inside].tolist(), ns[inside].tolist())
-        beyond = np.flatnonzero(ns > limit)
-        far_m.append(ms[beyond])
-        far_n.append(ns[beyond])
-        held += len(beyond)
-        del ms, ns, inside, beyond  # the block's arrays go before the kernel makes its own
-        last = start + _CHUNK >= hi
-        if held < batch and not last:
-            continue
-        m_far, n_far = np.concatenate(far_m), np.concatenate(far_n)
-        cut = held if last else held - held % batch
-        far_m, far_n, held = [m_far[cut:].copy()], [n_far[cut:].copy()], held - cut
-        for i in range(0, cut, batch):
-            m, n = m_far[i : i + batch], n_far[i : i + batch]
+        far.append(ms[ns > limit])
+        held += len(far[-1])
+        del ms, ns, inside  # the block's arrays go before the kernel makes its own
+        if held >= _CHUNK // 4 or start + _CHUNK >= hi:
+            m = np.concatenate(far)
+            n = s_values[m] - shift
             hit = np.flatnonzero(_array_s(np, table, n) == m + shift)
             found += zip(m[hit].tolist(), n[hit].tolist())
+            far, held = [], 0
     return found
 
 
@@ -198,7 +193,7 @@ def _search(limit, shift, parallel, workers) -> SearchReport:
     if workers is not None and workers < 1:
         raise BadParameter("a parallel search needs at least one worker")
     table = build_sieve(limit, array=True)
-    pairs = sorted(set(_run_scan(limit, table, shift, parallel, workers)))
+    pairs = sorted(_run_scan(limit, table, shift, parallel, workers))
     for m, n in pairs:
         # sigma(m) = sigma(n) = m + n + shift restates both scan conditions
         if sigma_brute(m) != m + n + shift or sigma_brute(n) != m + n + shift:
@@ -224,7 +219,8 @@ def search_amicable(
     disagreement.
     `parallel` partitions the scan range across `workers` processes (default:
     the CPU count, at most 8); the merged result is sorted, so output does not
-    depend on scheduling.
+    depend on scheduling. The pool does not pay at 10^6 on 2 cores; it is kept
+    for perfbench's pool op, and the CLI does not offer it.
     """
     return _search(limit, 0, parallel, workers)
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import amicable
 from amicable import SieveTable, aliquot_s, build_sieve, search_amicable, search_betrothed
-from amicable.divisor import _array_s, _array_sieve
+from amicable.divisor import _CHUNK, _array_s, _array_sieve
 
 SRC = str(Path(amicable.__file__).resolve().parent.parent)
 
@@ -139,6 +139,31 @@ def test_searches_settle_partners_past_the_table_in_arrays(table_s_calls):
     assert len(search_amicable(10**5).pairs) == 13
     assert len(search_betrothed(10**5).pairs) == 9
     assert table_s_calls == []
+
+
+@needs_numpy
+def test_numpy_scan_settles_every_far_partner_in_bounded_batches(monkeypatch):
+    # the m with partners past the table are held across blocks: every partner
+    # reaches the kernel once, in the order of m, in batches of at least
+    # _CHUNK // 4 (all but the last) and under one block more than that. 13
+    # blocks give three batches, the last one short: a count not reset after a
+    # batch shows as a short middle one, and a scan with no final settle misses
+    # the last partners
+    limit = 13 * _CHUNK
+    s_values = build_sieve(limit).s_values
+    batches = []
+    settle = amicable.pairs._array_s
+    monkeypatch.setattr(
+        amicable.pairs, "_array_s", lambda np, table, ns: batches.append(ns.tolist()) or settle(np, table, ns)
+    )
+    for shift, search in ((0, search_amicable), (1, search_betrothed)):
+        batches.clear()
+        search(limit)
+        sizes = [len(batch) for batch in batches]
+        assert len(sizes) > 1 and min(sizes[:-1]) >= _CHUNK // 4, sizes
+        assert max(sizes) < _CHUNK // 4 + _CHUNK, sizes
+        far = [s_values[m] - shift for m in range(2, limit + 1) if s_values[m] - shift > limit]
+        assert [n for batch in batches for n in batch] == far, search.__name__
 
 
 # -- searches and types -------------------------------------------------------
