@@ -42,6 +42,7 @@ from .divisor import (
 from .errors import (
     BadParameter,
     DegenerateSubtraction,
+    FactorBudgetExceeded,
     LimitTooLarge,
     ToolkitError,
     UnsupportedFormat,

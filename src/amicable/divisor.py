@@ -11,11 +11,13 @@ the s-value engine of `find_cycles`, `aliquot_sequence` and the `array('q')`
 search scan, extends a table past its limit by splitting n into its power of
 2, an odd part made of the primes below 1000 (found by gcds with their
 product) and a rough rest, reading each from the table when it fits; a rough
-rest past the table goes once to the rho splitter, which prime-tests each
-piece at most once. The numpy search scan settles its partners past the table
-in batches with `_array_s`, the same split on int64 arrays: the power of 2,
-then trial division of the odd part by the table's own primes until the rest
-fits the table or must be a prime.
+rest past the table goes once to the splitter `_split_rough`, which
+prime-tests each piece at most once and peels primes below 2**16 off a
+composite piece by staged gcds before it calls Brent rho. The numpy search
+scan settles its partners past the table in batches with `_array_s`, the
+same split on int64 arrays: the power of 2, then trial division of the odd
+part by the table's own primes until the rest fits the table or must be a
+prime.
 `find_cycles` keeps a set of the values past its table whose walk's end is
 known, so walks that share a stretch past the table stop where it begins.
 `sigma`, `aliquot_s` and `factorize` keep plain trial division, an independent
@@ -147,8 +149,9 @@ class SieveTable:
         primes, and a rough part, free of them. Each part within the limit is
         read from the table; a smooth part beyond it is trial-divided until it
         is used up or tabulated, and a rough part beyond it goes once to the
-        rho splitter `_split_rough`, which prime-tests each piece at most
-        once. s(n) is the product of the three sigma values, minus n.
+        splitter `_split_rough`, which prime-tests each piece at most once
+        and tries staged gcds before Brent rho. s(n) is the product of the
+        three sigma values, minus n.
         """
         s_values = self.s_values
         limit = self.limit

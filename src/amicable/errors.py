@@ -27,3 +27,7 @@ class UnsupportedFormat(ToolkitError):
 
 class VerificationFailed(ToolkitError):
     """An independent re-check rejected a result the fast path produced."""
+
+
+class FactorBudgetExceeded(ToolkitError):
+    """Brent rho spent its step budget on a cofactor without splitting it."""

@@ -6,6 +6,13 @@ deterministic below 2**64 (Miller-Rabin with as many of the first twelve prime
 bases as the size of n needs) and switches to a Baillie-PSW style combination
 (all twelve bases plus a strong Lucas test) above that bound;
 `prime_test_mode` reports which regime applies to a value.
+
+Factorization trial-divides by the primes below 1000, then splits the rough
+cofactor: composite pieces meet staged gcds with the products of the primes
+in (1000, 2**12), (2**12, 2**14) and (2**14, 2**16), and only what those
+cannot split goes to Brent's rho. Rho has a step budget per number, so a
+cofactor with two large prime factors raises FactorBudgetExceeded instead of
+running without end.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .errors import BadParameter, ZeroInput
+from .errors import BadParameter, FactorBudgetExceeded, ZeroInput
 
 __all__ = [
     "gcd",
@@ -62,6 +69,17 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
 
 _TRIAL_LIMIT = 1000
 _TRIAL_PRIMES = _sieve_primes(_TRIAL_LIMIT)
+
+# A composite rough piece meets the primes in (1000, 2**12), (2**12, 2**14)
+# and (2**14, 2**16) before Brent rho, one stage at a time. Each stage's
+# product has about four times the bits of the one before (4,431, 17,641 and
+# 70,576), so a piece with a small factor pays only for the small products.
+_STAGE_EDGES = (_TRIAL_LIMIT, 1 << 12, 1 << 14, 1 << 16)
+
+# Steps of f that Brent rho may spend on one number, over all its polynomial
+# constants. The heaviest known input, the Euler (29, 40) verification, needs
+# about 2**20.
+_RHO_BUDGET = 1 << 24
 
 
 def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
@@ -205,16 +223,25 @@ def _brent_factor(n: int) -> int:
     """A nontrivial factor of composite n via Brent's cycle-finding rho.
 
     Deterministic: the polynomial constant starts at 1 and is bumped whenever
-    a round degenerates, so repeated runs split identically.
+    a round degenerates, so repeated runs split identically. Steps of f are
+    counted over all constants. A round of r takes r steps to move x and at
+    most r more in gcd batches; it starts only when those 2r steps fit in
+    `_RHO_BUDGET`. So no step pays for the check, and rho passes the budget
+    by at most the one batch a degenerate round replays. When a round does
+    not fit, FactorBudgetExceeded names n.
     """
     if n % 2 == 0:
         return 2
+    budget = _RHO_BUDGET
+    spent = 0
     c = 1
     while True:
         y, r, q = 2, 1, 1
         g, ys, x = 1, y, y
         m = 128
         while g == 1:
+            if spent + 2 * r > budget:
+                raise FactorBudgetExceeded(f"no factor of {n} found in {budget} Brent rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -226,21 +253,40 @@ def _brent_factor(n: int) -> int:
                     q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
+            spent += r + min(k, r)
             r <<= 1
         if g != n:
             return g
-        # batched gcd overshot; replay one step at a time
+        # batched gcd overshot; replay one step at a time (within the last batch)
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = gcd(x - ys, n)
+            spent += 1
         if g != n:
             return g
         c += 1
 
 
+@lru_cache(maxsize=None)
+def _stage_products() -> tuple[int, ...]:
+    """The product of the primes of each stage between `_STAGE_EDGES`, built on first use."""
+    primes = _sieve_primes(_STAGE_EDGES[-1])
+    return tuple(
+        prod(p for p in primes if lo < p < hi) for lo, hi in zip(_STAGE_EDGES, _STAGE_EDGES[1:])
+    )
+
+
 def _split_rough(n: int) -> dict[int, int]:
-    """{prime: exponent} of n, which is 1, prime, or free of prime factors below 1000."""
+    """{prime: exponent} of n, which is 1, prime, or free of prime factors below 1000.
+
+    A piece below 1000**2 is prime, and so is one that passes `is_prime`;
+    each piece is prime-tested once. A composite piece v meets the stages
+    first: gcd(P % v, v) with the product P of each stage's primes, smallest
+    stage first, up to the first gcd other than 1. A proper divisor d splits
+    v into d and v // d. A piece that no stage divides, or that is made only
+    of one stage's primes (the gcd is v), goes to Brent rho.
+    """
     counts: dict[int, int] = {}
     stack = [n]
     while stack:
@@ -251,7 +297,12 @@ def _split_rough(n: int) -> dict[int, int]:
         if v < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
-        d = _brent_factor(v)
+        for product in _stage_products():
+            d = gcd(product % v, v)
+            if d != 1:
+                break
+        if d == 1 or d == v:
+            d = _brent_factor(v)
         stack.append(d)
         stack.append(v // d)
     return counts
@@ -261,9 +312,12 @@ def _split_rough(n: int) -> dict[int, int]:
 def factorize(n: int) -> Factorization:
     """Canonical factorization of n >= 1.
 
-    Trial division by primes below 1000 first, then Brent's rho on whatever
-    rough cofactor remains, recursing until every piece passes `is_prime`.
-    Raises ZeroInput for n = 0 and BadParameter for negative n.
+    Trial division by primes below 1000 first; the rough cofactor that
+    remains goes to `_split_rough`, which splits composite pieces by the
+    staged gcds and then Brent's rho until every piece passes `is_prime`.
+    Raises ZeroInput for n = 0, BadParameter for negative n, and
+    FactorBudgetExceeded when one piece needs more than `_RHO_BUDGET` rho
+    steps.
     """
     if not isinstance(n, int):
         raise BadParameter(f"factorize expects an integer, got {type(n).__name__}")

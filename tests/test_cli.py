@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import amicable.numeric
 from amicable.cli import run
 
 
@@ -260,6 +261,15 @@ def test_domain_errors_exit_two_with_message(capsys):
     code, _, err = invoke(capsys, "generate", "thabit", "--k", "0")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_rho_budget_overrun_exits_two_and_names_the_number(capsys, monkeypatch):
+    # a 120-bit semiprime of two 60-bit primes, past a small step budget for Brent rho
+    n = 1000000000000000003 * 1100000000000000063
+    monkeypatch.setattr(amicable.numeric, "_RHO_BUDGET", 1 << 12)
+    code, out, err = invoke(capsys, "sigma", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: no factor of {n} found in 4096 Brent rho steps\n"
 
 
 def test_malformed_sieve_budget_is_a_usage_error(capsys, monkeypatch):

@@ -243,12 +243,19 @@ def test_table_lookup_explicit_cases(monkeypatch):
     assert lookup(3 * m89) == 4 * (m89 + 1) - 3 * m89
     assert calls == []
 
-    # cofactors with two prime factors above 1000: only these are split by rho
-    rough = [1009 * 1013, 1009**2, 2 * 1009 * 1013, 12 * 1013 * 1019, 1009 * 1013 * 1019]
+    # cofactors with two or more prime factors above 1000. The stages split a piece with
+    # primes from two stages, or a square; rho sees only the pieces they cannot split:
+    # squarefree products of one stage's primes, and pieces with no prime below 2**16
+    rough = [
+        1009 * 1013, 1009**2, 2 * 1009 * 1013, 12 * 1013 * 1019, 1009 * 1013 * 1019,
+        1009 * 4099, 4093 * 4099 * 16411, 16381**2 * 65521,
+        65537 * 65539, 1009 * 65537 * 65539, 65537**2, 4099 * 16411 * 65537,
+    ]
     for n in rough:
-        assert lookup(n) == sigma_oracle(n) - n
+        assert lookup(n) == sympy.divisor_sigma(n) - n
     assert calls == [
-        1009 * 1013, 1009**2, 1009 * 1013, 1013 * 1019, 1009 * 1013 * 1019, 1013 * 1019,
+        1009 * 1013, 1009 * 1013, 1013 * 1019, 1009 * 1013 * 1019, 1013 * 1019,
+        65537 * 65539, 65537 * 65539, 65537**2,
     ]
 
     # a rough cofactor is prime-tested once, not again through sigma and factorize
@@ -259,6 +266,11 @@ def test_table_lookup_explicit_cases(monkeypatch):
     n = 2 * 1009 * 1013
     assert SieveTable(1, [0, 0]).s(n) == sigma_oracle(n) - n
     assert tested == [1009 * 1013]
+    # so is each piece the stages split off: 4093 is below 1000**2, 4099 * 16411 is not
+    tested.clear()
+    n = 2 * 4093 * 4099 * 16411
+    assert SieveTable(1, [0, 0]).s(n) == sympy.divisor_sigma(n) - n
+    assert tested == [4093 * 4099 * 16411, 4099 * 16411]
 
 
 def test_table_lookup_peels_twos_smooth_and_rough_parts(monkeypatch):

@@ -1,17 +1,21 @@
 """Numeric core: gcd, primality, factorization."""
 
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amicable.numeric
 from amicable import (
     BadParameter,
     Factorization,
+    FactorBudgetExceeded,
     PRIME_DETERMINISTIC_BOUND,
     ZeroInput,
+    aliquot_sequence,
     factorize,
     gcd,
     is_prime,
@@ -227,3 +231,59 @@ def test_factorize_random_against_independent_oracle():
 def test_factorization_type_is_value_like():
     a = Factorization(((2, 2), (5, 1), (11, 1)), 220)
     assert a == factorize(220)
+
+
+# The gcd stages of the rough splitter, rebuilt here from sympy: the primes in
+# (1000, 2**12), (2**12, 2**14) and (2**14, 2**16).
+STAGES = [list(sympy.primerange(lo + 1, hi)) for lo, hi in ((1000, 2**12), (2**12, 2**14), (2**14, 2**16))]
+STAGE_PRODUCTS = [prod(stage) for stage in STAGES]
+# the primes on each side of every stage edge, and primes past the last stage
+EDGE_PRIMES = (1009, 1013, 4093, 4099, 16381, 16411, 65521, 65537, 65539, 2**20 + 7, 2**24 + 43)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(EDGE_PRIMES), st.integers(1, 3)), min_size=1, max_size=4))
+def test_split_rough_matches_factorint_across_stage_edges(powers):
+    n = prod(p**e for p, e in powers)
+    assert amicable.numeric._split_rough(n) == sympy.factorint(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_split_rough_matches_factorint_on_one_stage_products(data):
+    # squarefree products of one stage's primes: every stage gcd is 1 or n, so rho splits them
+    stage = data.draw(st.sampled_from(STAGES), label="stage")
+    primes = data.draw(st.lists(st.sampled_from(stage), min_size=2, max_size=4, unique=True), label="primes")
+    n = prod(primes)
+    assert n >= 10**6
+    assert amicable.numeric._split_rough(n) == sympy.factorint(n)
+
+
+def test_rho_sees_only_pieces_the_stages_cannot_split(monkeypatch):
+    seen = []
+    brent_factor = amicable.numeric._brent_factor
+    monkeypatch.setattr(amicable.numeric, "_brent_factor", lambda n: seen.append(n) or brent_factor(n))
+    rng = random.Random(1515)
+    for _ in range(12):
+        aliquot_sequence(rng.randrange(10**6, 10**7, 2), 60, 10**20)
+    assert len(seen) >= 10
+    for v in seen:
+        assert all(gcd(product, v) in (1, v) for product in STAGE_PRODUCTS), v
+
+
+# a 120-bit semiprime whose least factor has 60 bits: rho needs about 2**30 steps on it
+SEMIPRIME_FACTORS = (1000000000000000003, 1100000000000000063)
+SEMIPRIME = prod(SEMIPRIME_FACTORS)
+
+
+def test_rho_budget_overrun_raises_and_names_the_cofactor(monkeypatch):
+    assert all(sympy.isprime(p) and p.bit_length() == 60 for p in SEMIPRIME_FACTORS)
+    assert SEMIPRIME.bit_length() == 120
+    monkeypatch.setattr(amicable.numeric, "_RHO_BUDGET", 1 << 12)
+    with pytest.raises(FactorBudgetExceeded, match=str(SEMIPRIME)):
+        factorize(SEMIPRIME)
+    # the first step of the walk needs the semiprime's factors
+    with pytest.raises(FactorBudgetExceeded, match=str(SEMIPRIME)):
+        aliquot_sequence(SEMIPRIME, 10, 10**40)
+    # a factor within the budget is still found
+    assert factorize(65537 * 65539).factors == ((65537, 1), (65539, 1))
