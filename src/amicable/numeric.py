@@ -10,7 +10,8 @@ bases as the size of n needs) and switches to a Baillie-PSW style combination
 Factorization trial-divides by the primes below 1000, then splits the rough
 cofactor: composite pieces meet staged gcds with the products of the primes
 in (1000, 2**12), (2**12, 2**14) and (2**14, 2**16), and only what those
-cannot split goes to Brent's rho. Rho has a step budget per number, so a
+cannot split goes to Brent's rho, which tries Fermat's method on 2**j * n
+once after 2**16 steps. Rho has a step budget per number, so a
 cofactor with two large prime factors raises FactorBudgetExceeded instead of
 running without end.
 """
@@ -77,9 +78,13 @@ _TRIAL_PRIMES = _sieve_primes(_TRIAL_LIMIT)
 _STAGE_EDGES = (_TRIAL_LIMIT, 1 << 12, 1 << 14, 1 << 16)
 
 # Steps of f that Brent rho may spend on one number, over all its polynomial
-# constants. The heaviest known input, the Euler (29, 40) verification, needs
-# about 2**20.
+# constants. The heaviest known inputs, the aliquot inputs of the `bignum`
+# benchmark, need at most 52,990 (the Euler (29, 40) cofactor splits at the
+# Fermat step).
 _RHO_BUDGET = 1 << 24
+
+# Rho tries `_fermat_factor` once on a number after this many steps.
+_FERMAT_AFTER = 1 << 16
 
 
 def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
@@ -219,6 +224,26 @@ class Factorization:
         return out
 
 
+def _fermat_factor(n: int) -> int:
+    """A proper factor of odd n by Fermat's method on 2**j * n, j = 0 ... bits(n)/2, or 1.
+
+    Each j tries only a = ceil(sqrt(2**j * n)) and asks whether a*a - 2**j * n
+    is a square b*b. For n = p*q with q + 1 = 2**d * (p + 1), as Euler's and
+    Thabit's rules build, j = d + 2 gives a = 2**d * p + q and b = 2**d - 1
+    (Lehman, Math. Comp. 28 (1974)), so gcd(a - b, n) = p.
+    """
+    for j in range(n.bit_length() // 2 + 1):
+        m = n << j
+        a = isqrt(m - 1) + 1
+        gap = a * a - m
+        b = isqrt(gap)
+        if b * b == gap:
+            g = gcd(a - b, n)
+            if 1 < g < n:
+                return g
+    return 1
+
+
 def _brent_factor(n: int) -> int:
     """A nontrivial factor of composite n via Brent's cycle-finding rho.
 
@@ -228,18 +253,25 @@ def _brent_factor(n: int) -> int:
     most r more in gcd batches; it starts only when those 2r steps fit in
     `_RHO_BUDGET`. So no step pays for the check, and rho passes the budget
     by at most the one batch a degenerate round replays. When a round does
-    not fit, FactorBudgetExceeded names n.
+    not fit, FactorBudgetExceeded names n. The first round to start with
+    `_FERMAT_AFTER` steps spent tries `_fermat_factor` first.
     """
     if n % 2 == 0:
         return 2
     budget = _RHO_BUDGET
     spent = 0
+    fermat_tried = False
     c = 1
     while True:
         y, r, q = 2, 1, 1
         g, ys, x = 1, y, y
         m = 128
         while g == 1:
+            if not fermat_tried and spent >= _FERMAT_AFTER:
+                fermat_tried = True
+                g = _fermat_factor(n)
+                if g != 1:
+                    return g
             if spent + 2 * r > budget:
                 raise FactorBudgetExceeded(f"no factor of {n} found in {budget} Brent rho steps")
             x = y

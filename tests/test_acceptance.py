@@ -15,16 +15,11 @@ a mixed-parity pair needs sigma(m) and sigma(n) odd, which happens only when
 each member is a square or twice a square; no such pair is known.  The clause
 also requires the odd-odd pair (12285, 14595), which lies below 20000, so a
 search that drops odd pairs fails the criterion.
-
-Run with AMICABLE_LONG=1 to include the large two-exponent construction.
 """
 
-import os
 import random
 from math import gcd
 from time import perf_counter
-
-import pytest
 
 from amicable import (
     COPRIME_PRODUCT_SEARCH_BOUND,
@@ -93,7 +88,6 @@ def test_criterion_3_euler_rule():
     _report(3, ok, f"two-exponent (1,8) -> {c.pair} in {elapsed:.2f}s (budget 5s)")
 
 
-@pytest.mark.skipif(not os.environ.get("AMICABLE_LONG"), reason="set AMICABLE_LONG=1 to run")
 def test_criterion_3_long_euler_29_40():
     t0 = perf_counter()
     c = euler_candidate(29, 40)

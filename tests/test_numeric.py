@@ -16,6 +16,7 @@ from amicable import (
     PRIME_DETERMINISTIC_BOUND,
     ZeroInput,
     aliquot_sequence,
+    euler_candidate,
     factorize,
     gcd,
     is_prime,
@@ -287,3 +288,37 @@ def test_rho_budget_overrun_raises_and_names_the_cofactor(monkeypatch):
         aliquot_sequence(SEMIPRIME, 10, 10**40)
     # a factor within the budget is still found
     assert factorize(65537 * 65539).factors == ((65537, 1), (65539, 1))
+
+
+def test_rho_budget_still_stops_the_semiprime_after_the_fermat_step(monkeypatch):
+    # 2**18 steps reach the Fermat step; its multipliers, powers of 2, do not
+    # split a semiprime whose factors have the ratio 11/10
+    tried = []
+    fermat_factor = amicable.numeric._fermat_factor
+    monkeypatch.setattr(amicable.numeric, "_fermat_factor", lambda n: tried.append(n) or fermat_factor(n))
+    monkeypatch.setattr(amicable.numeric, "_RHO_BUDGET", 1 << 18)
+    with pytest.raises(FactorBudgetExceeded, match=str(SEMIPRIME)):
+        factorize(SEMIPRIME)
+    assert tried == [SEMIPRIME]
+
+
+def test_euler_29_40_verifies_within_two_to_the_seventeen_rho_steps(monkeypatch):
+    # its 92-bit cofactor p*q, with q + 1 = 2**11 * (p + 1), takes rho about 2**20
+    # steps; the Fermat step on 2**13 * p*q splits it at once
+    monkeypatch.setattr(amicable.numeric, "_RHO_BUDGET", 1 << 17)
+    factorize.cache_clear()
+    assert euler_candidate(29, 40).verified
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2**19, 2**48 - 2**24), st.integers(1, 16))
+def test_factorize_matches_factorint_on_the_rules_cofactor_shape(start, j):
+    # p * q with q + 1 = 2**j * (p + 1): Euler's rule builds it with j = n - m,
+    # Thabit's with j = 1. Past 32 bits, p walks on to a prime whose q is prime,
+    # as in the rules: a composite q loses its small factors first, and p times
+    # the rest has no such shape and may need more steps than rho's budget.
+    p = sympy.nextprime(start)
+    while p.bit_length() > 32 and not sympy.isprime(2**j * (p + 1) - 1):
+        p = sympy.nextprime(p)
+    n = p * (2**j * (p + 1) - 1)
+    assert dict(factorize(n).factors) == sympy.factorint(n)
