@@ -10,8 +10,8 @@ bases as the size of n needs) and switches to a Baillie-PSW style combination
 Factorization trial-divides by the primes below 1000, then splits the rough
 cofactor: composite pieces meet staged gcds with the products of the primes
 in (1000, 2**12), (2**12, 2**14) and (2**14, 2**16), and only what those
-cannot split goes to Brent's rho, which tries Fermat's method on 2**j * n
-once after 2**16 steps. Rho has a step budget per number, so a
+cannot split meets Fermat's method on 2**j * n once, and only what that
+cannot split goes to Brent's rho. Rho has a step budget per number, so a
 cofactor with two large prime factors raises FactorBudgetExceeded instead of
 running without end.
 """
@@ -79,12 +79,9 @@ _STAGE_EDGES = (_TRIAL_LIMIT, 1 << 12, 1 << 14, 1 << 16)
 
 # Steps of f that Brent rho may spend on one number, over all its polynomial
 # constants. The heaviest known inputs, the aliquot inputs of the `bignum`
-# benchmark, need at most 52,990 (the Euler (29, 40) cofactor splits at the
-# Fermat step).
+# benchmark, need at most 52,990 (the Euler (29, 40) cofactor never reaches
+# rho: Fermat splits it first).
 _RHO_BUDGET = 1 << 24
-
-# Rho tries `_fermat_factor` once on a number after this many steps.
-_FERMAT_AFTER = 1 << 16
 
 
 def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
@@ -245,7 +242,7 @@ def _fermat_factor(n: int) -> int:
 
 
 def _brent_factor(n: int) -> int:
-    """A nontrivial factor of composite n via Brent's cycle-finding rho.
+    """A nontrivial factor of odd composite n via Brent's cycle-finding rho.
 
     Deterministic: the polynomial constant starts at 1 and is bumped whenever
     a round degenerates, so repeated runs split identically. Steps of f are
@@ -253,25 +250,16 @@ def _brent_factor(n: int) -> int:
     most r more in gcd batches; it starts only when those 2r steps fit in
     `_RHO_BUDGET`. So no step pays for the check, and rho passes the budget
     by at most the one batch a degenerate round replays. When a round does
-    not fit, FactorBudgetExceeded names n. The first round to start with
-    `_FERMAT_AFTER` steps spent tries `_fermat_factor` first.
+    not fit, FactorBudgetExceeded names n.
     """
-    if n % 2 == 0:
-        return 2
     budget = _RHO_BUDGET
     spent = 0
-    fermat_tried = False
     c = 1
     while True:
         y, r, q = 2, 1, 1
         g, ys, x = 1, y, y
         m = 128
         while g == 1:
-            if not fermat_tried and spent >= _FERMAT_AFTER:
-                fermat_tried = True
-                g = _fermat_factor(n)
-                if g != 1:
-                    return g
             if spent + 2 * r > budget:
                 raise FactorBudgetExceeded(f"no factor of {n} found in {budget} Brent rho steps")
             x = y
@@ -317,7 +305,8 @@ def _split_rough(n: int) -> dict[int, int]:
     first: gcd(P % v, v) with the product P of each stage's primes, smallest
     stage first, up to the first gcd other than 1. A proper divisor d splits
     v into d and v // d. A piece that no stage divides, or that is made only
-    of one stage's primes (the gcd is v), goes to Brent rho.
+    of one stage's primes (the gcd is v), meets `_fermat_factor`, and one
+    that Fermat cannot split goes to Brent rho.
     """
     counts: dict[int, int] = {}
     stack = [n]
@@ -334,6 +323,8 @@ def _split_rough(n: int) -> dict[int, int]:
             if d != 1:
                 break
         if d == 1 or d == v:
+            d = _fermat_factor(v)
+        if d == 1:
             d = _brent_factor(v)
         stack.append(d)
         stack.append(v // d)
@@ -346,7 +337,8 @@ def factorize(n: int) -> Factorization:
 
     Trial division by primes below 1000 first; the rough cofactor that
     remains goes to `_split_rough`, which splits composite pieces by the
-    staged gcds and then Brent's rho until every piece passes `is_prime`.
+    staged gcds, then Fermat's method, then Brent's rho until every piece
+    passes `is_prime`.
     Raises ZeroInput for n = 0, BadParameter for negative n, and
     FactorBudgetExceeded when one piece needs more than `_RHO_BUDGET` rho
     steps.

@@ -187,7 +187,7 @@ def _run_scan(limit, table, shift, parallel, workers):
     return [pair for part in parts for pair in part]
 
 
-def _search(limit, shift, parallel, workers) -> SearchReport:
+def _search(limit, shift, parallel=False, workers=None) -> SearchReport:
     if limit < 2:
         raise BadParameter("search limit must be at least 2")
     if workers is not None and workers < 1:
@@ -225,18 +225,13 @@ def search_amicable(
     return _search(limit, 0, parallel, workers)
 
 
-def search_betrothed(
-    limit: int,
-    *,
-    parallel: bool = False,
-    workers: int | None = None,
-) -> SearchReport:
+def search_betrothed(limit: int) -> SearchReport:
     """All betrothed pairs (m, n) with m < n and m <= limit.
 
-    Same scan and double-checking as `search_amicable`, with the shifted
-    condition s(m) = n + 1, s(n) = m + 1.
+    Same serial scan and double-checking as `search_amicable`, with the
+    shifted condition s(m) = n + 1, s(n) = m + 1.
     """
-    return _search(limit, 1, parallel, workers)
+    return _search(limit, 1)
 
 
 def _facts(pairs) -> AuditResult:

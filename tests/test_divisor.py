@@ -220,14 +220,11 @@ def test_table_lookup_inside_limit_reads_table():
 def test_table_lookup_explicit_cases(monkeypatch):
     limit = 1000
     table = build_sieve(limit)
-    calls = []
+    fermat_calls, rho_calls = [], []
+    fermat_factor = amicable.numeric._fermat_factor
     brent_factor = amicable.numeric._brent_factor
-
-    def recorder(n):
-        calls.append(n)
-        return brent_factor(n)
-
-    monkeypatch.setattr(amicable.numeric, "_brent_factor", recorder)
+    monkeypatch.setattr(amicable.numeric, "_fermat_factor", lambda n: fermat_calls.append(n) or fermat_factor(n))
+    monkeypatch.setattr(amicable.numeric, "_brent_factor", lambda n: rho_calls.append(n) or brent_factor(n))
     lookup = table.s
 
     assert lookup(limit + 1) == sigma_oracle(limit + 1) - (limit + 1)
@@ -241,11 +238,13 @@ def test_table_lookup_explicit_cases(monkeypatch):
     # a prime cofactor above 2**64, decided by the probabilistic test
     m89 = 2**89 - 1
     assert lookup(3 * m89) == 4 * (m89 + 1) - 3 * m89
-    assert calls == []
+    assert fermat_calls == rho_calls == []
 
     # cofactors with two or more prime factors above 1000. The stages split a piece with
-    # primes from two stages, or a square; rho sees only the pieces they cannot split:
-    # squarefree products of one stage's primes, and pieces with no prime below 2**16
+    # primes from two stages, or a square; Fermat sees only the pieces they cannot split:
+    # squarefree products of one stage's primes, and pieces with no prime below 2**16.
+    # Fermat splits those whose factors it meets at its first square root, such as close
+    # primes or squares, and rho sees only the rest
     rough = [
         1009 * 1013, 1009**2, 2 * 1009 * 1013, 12 * 1013 * 1019, 1009 * 1013 * 1019,
         1009 * 4099, 4093 * 4099 * 16411, 16381**2 * 65521,
@@ -253,10 +252,24 @@ def test_table_lookup_explicit_cases(monkeypatch):
     ]
     for n in rough:
         assert lookup(n) == sympy.divisor_sigma(n) - n
-    assert calls == [
+    assert fermat_calls == [
         1009 * 1013, 1009 * 1013, 1013 * 1019, 1009 * 1013 * 1019, 1013 * 1019,
         65537 * 65539, 65537 * 65539, 65537**2,
     ]
+    assert rho_calls == []
+    fermat_calls.clear()
+    # one-stage products and 2**16-rough pieces whose factors Fermat misses
+    rough = [
+        1009 * 3001, 1013 * 2003 * 3001, 4111 * 9001, 16411 * 40009,
+        65537 * 100003, 1009 * 65537 * 100003, 100003 * 1000003,
+    ]
+    for n in rough:
+        assert lookup(n) == sympy.divisor_sigma(n) - n
+    missed = [
+        1009 * 3001, 1013 * 2003 * 3001, 2003 * 3001, 4111 * 9001, 16411 * 40009,
+        65537 * 100003, 65537 * 100003, 100003 * 1000003,
+    ]
+    assert fermat_calls == rho_calls == missed
 
     # a rough cofactor is prime-tested once, not again through sigma and factorize
     tested = []

@@ -22,6 +22,7 @@ from amicable import (
     is_prime,
     prime_test_mode,
     sigma,
+    thabit_candidate,
 )
 
 
@@ -290,9 +291,10 @@ def test_rho_budget_overrun_raises_and_names_the_cofactor(monkeypatch):
     assert factorize(65537 * 65539).factors == ((65537, 1), (65539, 1))
 
 
-def test_rho_budget_still_stops_the_semiprime_after_the_fermat_step(monkeypatch):
-    # 2**18 steps reach the Fermat step; its multipliers, powers of 2, do not
-    # split a semiprime whose factors have the ratio 11/10
+def test_fermat_runs_once_before_rho_and_the_budget_still_stops_the_semiprime(monkeypatch):
+    # Fermat runs once on the piece before rho does; its multipliers, powers of 2,
+    # do not split a semiprime whose factors have the ratio 11/10, so rho still
+    # spends its 2**18 steps
     tried = []
     fermat_factor = amicable.numeric._fermat_factor
     monkeypatch.setattr(amicable.numeric, "_fermat_factor", lambda n: tried.append(n) or fermat_factor(n))
@@ -308,6 +310,22 @@ def test_euler_29_40_verifies_within_two_to_the_seventeen_rho_steps(monkeypatch)
     monkeypatch.setattr(amicable.numeric, "_RHO_BUDGET", 1 << 17)
     factorize.cache_clear()
     assert euler_candidate(29, 40).verified
+
+
+def test_generator_sweep_makes_no_rho_call(monkeypatch):
+    # every Euler pair up to n = 40 and Thabit's rule up to k = 300: the stages split
+    # what trial division leaves, and Fermat splits the rules' cofactors p*q, the
+    # 92-bit one of Euler (29, 40) included, so rho is never asked
+    seen = []
+    brent_factor = amicable.numeric._brent_factor
+    monkeypatch.setattr(amicable.numeric, "_brent_factor", lambda n: seen.append(n) or brent_factor(n))
+    factorize.cache_clear()
+    for n in range(2, 41):
+        for m in range(1, n):
+            euler_candidate(m, n)
+    for k in range(1, 301):
+        thabit_candidate(k)
+    assert seen == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -205,18 +205,25 @@ def test_search_betrothed_completeness_against_double_loop():
 def test_search_betrothed_parallel_matches_enumeration():
     expected = enumerate_pairs(500, 1)
     assert list(search_betrothed(500).pairs) == expected
-    assert list(search_betrothed(500, parallel=True, workers=2).pairs) == expected
+    # the betrothed search has no pool: only search_amicable takes parallel
+    for kwargs in ({"parallel": True}, {"workers": 2}):
+        with pytest.raises(TypeError):
+            search_betrothed(100, **kwargs)
 
 
 @pytest.mark.parametrize("search", [search_amicable, search_betrothed])
 def test_search_engines_agree_at_20000(monkeypatch, search):
     # partners past 20000 come from the table plus trial division; the sieve
-    # table is a numpy array when numpy imports and a list when it does not
+    # table is a numpy array when numpy imports and a list when it does not;
+    # only the amicable search has a pool
+    pooled = search is search_amicable
     sieve = search(20_000)
     assert sieve.pairs == PAIRS_AT_20000[search]
-    reports = [search(20_000, parallel=True, workers=2)]
+    reports = [search(20_000, parallel=True, workers=2)] if pooled else []
     monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
-    reports += [search(20_000), search(20_000, parallel=True, workers=2)]
+    reports.append(search(20_000))
+    if pooled:
+        reports.append(search(20_000, parallel=True, workers=2))
     for report in [sieve, *reports]:
         assert report == sieve
         assert all(type(x) is int for pair in report.pairs for x in pair)
