@@ -3,10 +3,10 @@
 Three routes to the divisor sum are kept side by side on purpose: `sigma`
 multiplies geometric-series terms off the factorization, `sigma_brute`
 enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
-range by multiplying in sigma(p**e) for every prime power, since sigma is
-multiplicative. The sieve fills a stdlib `array('q')`, or an int64 numpy array
-when the caller asks for one and numpy imports; only the pair searches ask, so
-only they import numpy. Either storage holds 8 bytes per entry. `SieveTable.s`,
+range, each n from n // p for its least prime factor p. The sieve fills a
+stdlib `array('q')`, or an int64 numpy array (by prime-power passes) when the
+caller asks for one and numpy imports; only the pair searches ask, so only
+they import numpy. Either storage holds 8 bytes per entry. `SieveTable.s`,
 the s-value engine of `find_cycles`, `aliquot_sequence` and the `array('q')`
 search scan, extends a table past its limit by splitting n into its power of
 2, an odd part made of the primes below 1000 (found by gcds with their
@@ -31,9 +31,7 @@ import os
 from array import array as pyarray
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from math import gcd, isqrt, prod
-from operator import floordiv, mul, sub
 
 from .errors import BadParameter, LimitTooLarge, ZeroInput
 from .numeric import _TRIAL_PRIMES, _sieve_primes, _split_rough, factorize
@@ -110,8 +108,8 @@ def aliquot_s(n: int) -> int:
 _ODD_TRIAL_PRIMES = _TRIAL_PRIMES[1:]
 _ODD_TRIAL_PRODUCT = prod(_ODD_TRIAL_PRIMES)
 
-# Slots converted from sigma(n) to s(n) per slice, so the conversion never
-# holds a second copy of the whole table.
+# Slots `_array_sieve` converts from sigma(n) to s(n) per slice, so the
+# conversion never holds a second copy of the whole table.
 _CHUNK = 1 << 16
 
 
@@ -129,7 +127,7 @@ class SieveTable:
     arrays with `_array_s`, by the same split. `find_cycles`
     keeps, beside the table, a set of the values past it whose walk's end is
     known. A limit below 1 raises BadParameter: `s` reads sigma(1) = 1 from
-    slot 1.
+    slot 1. So does a storage without exactly limit + 1 slots.
     """
 
     limit: int
@@ -138,6 +136,8 @@ class SieveTable:
     def __post_init__(self):
         if self.limit < 1:
             raise BadParameter("a SieveTable needs slots 0 and 1, so a limit of at least 1")
+        if len(self.s_values) != self.limit + 1:
+            raise BadParameter(f"a SieveTable of limit {self.limit} needs {self.limit + 1} slots")
 
     def s(self, n: int) -> int:
         """s(n) for any n >= 0, equal to `aliquot_s(n)`: every aliquot step's engine.
@@ -190,19 +190,17 @@ class SieveTable:
 
 
 def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
-    """Tabulate s(n) for all n <= limit with a multiplicative prime-power sieve.
+    """Tabulate s(n) for all n <= limit by a least-prime-factor sieve.
 
-    Every slot starts at 1. For each prime p and each power q = p**e <= limit,
-    the slots of all multiples of q are divided by sigma(p**(e-1)) when e > 1
-    and then multiplied by sigma(p**e). A slot n with p**e exactly dividing it
-    is hit by the passes for p, ..., p**e in turn, so it ends up holding the
-    factor sigma(p**e); each division removes a factor the previous pass
-    multiplied in, so it is exact, and every slot holds a product of sigma
-    over some of its own prime powers, never more than sigma(n). Since sigma
-    is multiplicative, slot n then holds sigma(n), and n is subtracted slice
-    by slice. Slots 0 and 1 hold 0. The table is a stdlib `array('q')` of 8
-    bytes per entry, exact by `_array_sieve`'s bound on sigma; the slice
-    arithmetic runs inside `map`, not in a Python-level loop.
+    Two passes over one stdlib `array('q')` of 8 bytes per entry. The first
+    writes p into the slots p*p, p*p + p, ... for the primes p up to
+    sqrt(limit), largest first, so every composite slot ends up holding its
+    least prime factor and a prime's slot keeps 0. The second runs n upwards:
+    with p the least prime factor of n and m = n // p, sigma(n) is
+    (p + 1) * sigma(m), minus p * sigma(m // p) when p divides m, so s(n)
+    is (p + 1) * s(m) + m, or (p + 1) * s(m) - p * s(m // p); both slots are
+    below n and already final. A prime gets s = 1, and slots 0 and 1 hold 0.
+    Each slot holds s(n) < sigma(n) < 6n, far inside int64.
 
     With `array=True` the table is an int64 numpy array filled by
     `_array_sieve`, or the `array('q')` above when numpy does not import.
@@ -226,30 +224,32 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
             pass
         else:
             return SieveTable(limit, _array_sieve(numpy, limit))
-    sig = pyarray("q", [1]) * (limit + 1)
-    for p in _sieve_primes(limit):
-        q, term, prev = p, p + 1, 1
-        while q <= limit:
-            view = sig[q::q]  # a copy, written back below
-            if prev != 1:
-                view = map(floordiv, view, repeat(prev))
-            sig[q::q] = pyarray("q", map(mul, view, repeat(term)))
-            q, term, prev = q * p, term * p + 1, term
-    for lo in range(0, limit + 1, _CHUNK):
-        hi = min(lo + _CHUNK, limit + 1)
-        sig[lo:hi] = pyarray("q", map(sub, sig[lo:hi], range(lo, hi)))
-    sig[0] = 0
-    return SieveTable(limit, sig)
+    s = pyarray("q", [0]) * (limit + 1)
+    for p in reversed(_sieve_primes(isqrt(limit))):
+        s[p * p :: p] = pyarray("q", [p]) * ((limit - p * p) // p + 1)
+    # Slots below n hold s, slots from n up their least prime factor (0 at a prime).
+    for n in range(2, limit + 1):
+        p = s[n]
+        if p:
+            m = n // p
+            if m % p:
+                s[n] = (p + 1) * s[m] + m
+            else:
+                s[n] = (p + 1) * s[m] - p * s[m // p]
+        else:
+            s[n] = 1
+    return SieveTable(limit, s)
 
 
 def _array_sieve(np, limit: int):
-    """The prime-power sieve of `build_sieve` on an int64 numpy array.
+    """The table of `build_sieve` on an int64 numpy array, by prime-power passes.
 
-    Primes up to sqrt(limit) take the `array('q')` sieve's passes, dividing a
-    power's slots by sigma(p**(e-1)) before multiplying them by sigma(p**e),
-    so no intermediate value exceeds sigma(n). After those passes a slot above
-    sqrt(limit) still holding 1 has no prime factor up to sqrt(limit), so it
-    is a prime. Such a prime p divides a slot n at most once (p * p > limit),
+    Every slot starts at 1. For each prime p <= sqrt(limit) and power p**e,
+    the slots of its multiples are divided by sigma(p**(e-1)) when e > 1 (the
+    pass before multiplied it in), then multiplied by sigma(p**e), so no value
+    exceeds sigma(n), which is multiplicative. Then a slot above sqrt(limit)
+    still holding 1 has no prime factor up to sqrt(limit), so it is a
+    prime. Such a prime p divides a slot n at most once (p * p > limit),
     and n = k * p with k < p, so one fancy-indexed update per cofactor k
     multiplies every p <= limit // k into its slot k * p: about sqrt(limit)
     array operations in all, not one per prime.

@@ -1,6 +1,8 @@
 """Divisor engine: sigma, the aliquot map, sieving, classification."""
 
 import random
+import tracemalloc
+from array import array as stdarray
 from math import isqrt
 
 import pytest
@@ -171,6 +173,18 @@ def test_build_sieve_equals_additive_sieve_at_2e5():
     assert build_sieve(200_000).s_values.tolist() == additive_sieve(200_000)
 
 
+def test_build_sieve_fills_one_array_in_place():
+    # the least-prime-factor pass and the s pass share the table's one array; a second
+    # whole-table array (of factors or of sigma) would lift the peak to 2x or more
+    tracemalloc.start()
+    try:
+        s_values = build_sieve(200_000).s_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * len(s_values) * s_values.itemsize
+
+
 def primes_above(n, count):
     found = []
     while len(found) < count:
@@ -215,6 +229,14 @@ def test_table_lookup_inside_limit_reads_table():
     # past the limit, s reads sigma(1) from slot 1, so a table must hold it
     with pytest.raises(BadParameter):
         SieveTable(0, [0])
+
+
+def test_table_storage_must_hold_limit_plus_one_slots():
+    # a short storage would raise a bare IndexError inside s; a long one would hide slots
+    for slots in (2, 12):
+        with pytest.raises(BadParameter, match="needs 11 slots"):
+            SieveTable(10, stdarray("q", [0] * slots))
+    assert SieveTable(10, build_sieve(10).s_values).s(12) == 16
 
 
 def test_table_lookup_explicit_cases(monkeypatch):
