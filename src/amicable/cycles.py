@@ -89,8 +89,8 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
     Each step is `SieveTable.s` on a two-slot table, which strips the primes
     below 1000 and factorizes only a rough cofactor.
     """
-    if start < 1:
-        raise BadParameter("aliquot sequences start at 1 or above")
+    if not isinstance(start, int) or start < 1:
+        raise BadParameter("aliquot sequences start at an integer of 1 or above")
     if max_steps < 1:
         raise BadParameter("max_steps must be at least 1")
     if ceiling < start:

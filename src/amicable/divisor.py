@@ -4,9 +4,9 @@ Three routes to the divisor sum are kept side by side on purpose: `sigma`
 multiplies geometric-series terms off the factorization, `sigma_brute`
 enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
 range, each n from n // p for its least prime factor p. The sieve fills a
-stdlib `array('q')`, or an int64 numpy array (by prime-power passes) when the
-caller asks for one and numpy imports; only the pair searches ask, so only
-they import numpy. Either storage holds 8 bytes per entry. `SieveTable.s`,
+stdlib `array('q')`, or an int64 numpy array by the same recurrence in blocks
+when the caller asks for one and numpy imports; only the pair searches ask, so
+only they import numpy. Either storage holds 8 bytes per entry. `SieveTable.s`,
 the s-value engine of `find_cycles`, `aliquot_sequence` and the `array('q')`
 search scan, extends a table past its limit by splitting n into its power of
 2, an odd part made of the primes below 1000 (found by gcds with their
@@ -108,8 +108,8 @@ def aliquot_s(n: int) -> int:
 _ODD_TRIAL_PRIMES = _TRIAL_PRIMES[1:]
 _ODD_TRIAL_PRODUCT = prod(_ODD_TRIAL_PRIMES)
 
-# Slots `_array_sieve` converts from sigma(n) to s(n) per slice, so the
-# conversion never holds a second copy of the whole table.
+# Block size of the numpy search scan; `_array_sieve` fills blocks of a quarter
+# of it, so neither holds more than a few blocks beside the table.
 _CHUNK = 1 << 16
 
 
@@ -202,14 +202,16 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     below n and already final. A prime gets s = 1, and slots 0 and 1 hold 0.
     Each slot holds s(n) < sigma(n) < 6n, far inside int64.
 
-    With `array=True` the table is an int64 numpy array filled by
-    `_array_sieve`, or the `array('q')` above when numpy does not import.
+    With `array=True` the table is an int64 numpy array filled by the same
+    two passes in `_array_sieve`, or the `array('q')` above when numpy does
+    not import.
     Raises LimitTooLarge when limit + 1 entries exceed the budget, which is
     the AMICABLE_SIEVE_BUDGET variable when set and 2**31 otherwise, and
-    BadParameter when that variable is not an integer.
+    BadParameter when limit is not an integer of at least 1 or that variable
+    is not an integer.
     """
-    if limit < 1:
-        raise BadParameter("sieve limit must be at least 1")
+    if not isinstance(limit, int) or limit < 1:
+        raise BadParameter("sieve limit must be an integer of at least 1")
     env = os.environ.get(SIEVE_BUDGET_ENV)
     try:
         budget = int(env) if env else DEFAULT_SIEVE_BUDGET
@@ -242,42 +244,29 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
 
 
 def _array_sieve(np, limit: int):
-    """The table of `build_sieve` on an int64 numpy array, by prime-power passes.
+    """The table of `build_sieve` on an int64 numpy array, by the same recurrence.
 
-    Every slot starts at 1. For each prime p <= sqrt(limit) and power p**e,
-    the slots of its multiples are divided by sigma(p**(e-1)) when e > 1 (the
-    pass before multiplied it in), then multiplied by sigma(p**e), so no value
-    exceeds sigma(n), which is multiplicative. Then a slot above sqrt(limit)
-    still holding 1 has no prime factor up to sqrt(limit), so it is a
-    prime. Such a prime p divides a slot n at most once (p * p > limit),
-    and n = k * p with k < p, so one fancy-indexed update per cofactor k
-    multiplies every p <= limit // k into its slot k * p: about sqrt(limit)
-    array operations in all, not one per prime.
-
-    int64 is exact because sigma(n) < 7n for every n below 2**58 (Robin's
-    unconditional bound sigma(n) < n (e**gamma ln ln n + 0.6483 / ln ln n)),
-    and a table reaching 2**58 would need 2**61 bytes; under the default
-    budget of 2**31 entries sigma(n) stays below 6 * 2**31 < 2**34.
+    Pass 1 is the stdlib one with a scalar on the right. Pass 2 runs over
+    blocks [lo, hi) with hi <= 2 * lo, so every m = n // p and m // p of a
+    block is below lo and already final, and each block is one vectorized
+    step. A prime counts as its own least prime factor, so m = 1 gives s = 1.
+    Every intermediate is below (p + 1) * 6m <= 9n, far inside int64.
     """
-    sig = np.ones(limit + 1, dtype=np.int64)
-    root = isqrt(limit)
-    for p in _sieve_primes(root):
-        q, term, prev = p, p + 1, 1
-        while q <= limit:
-            view = sig[q::q]
-            if prev != 1:
-                view //= prev
-            view *= term
-            q, term, prev = q * p, term * p + 1, term
-    primes = np.flatnonzero(sig[root + 1 :] == 1) + (root + 1)
-    for k in range(1, limit // (root + 1) + 1):
-        ps = primes[: np.searchsorted(primes, limit // k, side="right")]
-        sig[k * ps] *= ps + 1
-    for lo in range(0, limit + 1, _CHUNK):
-        hi = min(lo + _CHUNK, limit + 1)
-        sig[lo:hi] -= np.arange(lo, hi, dtype=np.int64)
-    sig[0] = 0
-    return sig
+    s = np.zeros(limit + 1, dtype=np.int64)
+    for p in reversed(_sieve_primes(isqrt(limit))):
+        s[p * p :: p] = p
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _CHUNK // 4, limit + 1)
+        n = np.arange(lo, hi, dtype=np.int64)
+        p = s[lo:hi]
+        p = np.where(p, p, n)
+        m = n // p
+        mm, r = np.divmod(m, p)
+        t = (p + 1) * s[m]
+        s[lo:hi] = np.where(r, t + m, t - p * s[mm])
+        lo = hi
+    return s
 
 
 def _array_s(np, table: SieveTable, ns):
@@ -291,8 +280,9 @@ def _array_s(np, table: SieveTable, ns):
     is coprime to what was stripped, or is below the square of the next prime
     to try, so that it is a prime. Only a rest that outlasts every prime of a
     table too small to reach its square root goes to scalar `table.s`.
-    int64 is exact as long as sigma(n) is, which `_array_sieve`'s bound gives
-    for every partner of a search.
+    int64 is exact as long as sigma(n) is: a search's partners are below
+    6 * 2**31 under the default budget, so sigma(n) < 2**37 by Robin's
+    unconditional bound sigma(n) < n (e**gamma ln ln n + 0.6483 / ln ln n).
     """
     s_values, limit = table.s_values, table.limit
     low = ns & -ns

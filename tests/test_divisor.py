@@ -19,9 +19,12 @@ from amicable import (
     SieveTable,
     ZeroInput,
     aliquot_s,
+    aliquot_sequence,
     build_sieve,
     classify,
     factorize,
+    find_cycles,
+    search_amicable,
     sigma,
     sigma_brute,
 )
@@ -145,6 +148,22 @@ def test_build_sieve_rejects_bad_limits(monkeypatch):
         monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", bad)
         with pytest.raises(BadParameter, match=f"AMICABLE_SIEVE_BUDGET={bad!r}"):
             build_sieve(100)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_sieve(1e4),
+        lambda: search_amicable(1e4),
+        lambda: find_cycles(1e4, 30),
+        lambda: aliquot_sequence(276.0, 10),
+    ],
+    ids=["build_sieve", "search_amicable", "find_cycles", "aliquot_sequence"],
+)
+def test_float_limit_or_start_is_a_bad_parameter(call):
+    # a float is refused up front, not by numpy or array('q') deep inside the fill
+    with pytest.raises(BadParameter, match="integer"):
+        call()
 
 
 def test_build_sieve_budget_env_override(monkeypatch):

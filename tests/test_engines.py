@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from array import array as stdarray
 from pathlib import Path
 
@@ -46,7 +47,8 @@ def test_array_sieve_equals_stdlib_sieve(limit):
 @needs_numpy
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 211])
 def test_array_sieve_at_the_square_root_boundary(p):
-    # primes up to isqrt(limit) take the power passes, the rest the cofactor pass
+    # pass 1 writes the least prime factor of each composite up to limit from the
+    # primes up to isqrt(limit); a limit at p*p is the first whose pass 1 takes p
     for limit in (p * p - 1, p * p, p * p + 1):
         expected = build_sieve(limit).s_values.tolist()
         assert build_sieve(limit, array=True).s_values.tolist() == expected
@@ -60,10 +62,10 @@ def test_array_sieve_equals_stdlib_sieve_at_2e5():
 
 
 @needs_numpy
-def test_array_sieve_intermediates_never_exceed_sigma():
-    # Run the kernel in int16: every sigma(n) up to 9239 is below 2**15, so the
-    # table comes out right only if no intermediate slot value exceeds its
-    # sigma(n); a multiply before the divide of a prime-power pass wraps.
+def test_array_sieve_is_exact_in_int16():
+    # Run the kernel in int16: every sigma(n) up to 9239 is below 2**15, so every
+    # final slot fits. The recurrence divides indices only, never slot values, so
+    # a product that wraps on the way still lands on s(n) modulo 2**16.
     import numpy
 
     class Int16Numpy:
@@ -74,6 +76,21 @@ def test_array_sieve_intermediates_never_exceed_sigma():
 
     limit = 9239
     assert _array_sieve(Int16Numpy(), limit).tolist() == build_sieve(limit).s_values.tolist()
+
+
+@needs_numpy
+def test_array_sieve_holds_one_table_and_a_few_blocks():
+    # pass 2's temporaries are block-sized; a whole-table temporary would lift
+    # the peak to 2x the table or more
+    import numpy  # noqa: F401  (its import allocates; keep it out of the trace)
+
+    tracemalloc.start()
+    try:
+        s_values = build_sieve(10**6, array=True).s_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * s_values.nbytes
 
 
 def test_array_request_without_numpy_gives_the_stdlib_table(monkeypatch):
