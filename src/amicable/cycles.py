@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-from .divisor import SieveTable, aliquot_s, build_sieve
+from .divisor import _TYPECODE, SieveTable, aliquot_s, build_sieve
 from .errors import BadParameter, VerificationFailed
 
 
@@ -45,7 +45,7 @@ class AliquotResult:
 
 # s(0) = s(1) = 0; SieveTable.s splits every larger n into its power of 2, its
 # 1000-smooth odd part and its rough part, and takes sigma of each on its own
-_UNIT_TABLE = SieveTable(1, array("q", [0, 0]))
+_UNIT_TABLE = SieveTable(1, array(_TYPECODE, [0, 0]))
 _NO_STOPS = bytes(2)
 
 
@@ -91,7 +91,7 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
     """
     if not isinstance(start, int) or start < 1:
         raise BadParameter("aliquot sequences start at an integer of 1 or above")
-    if max_steps < 1:
+    if not isinstance(max_steps, int) or max_steps < 1:
         raise BadParameter("max_steps must be at least 1")
     if ceiling < start:
         raise BadParameter("ceiling must not be below the starting value")
@@ -170,7 +170,7 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     """
     if limit < 2:
         raise BadParameter("cycle search limit must be at least 2")
-    if max_len < 2:
+    if not isinstance(max_len, int) or max_len < 2:
         raise BadParameter("cycles have length at least 2")
 
     table = build_sieve(limit)

@@ -4,20 +4,20 @@ Three routes to the divisor sum are kept side by side on purpose: `sigma`
 multiplies geometric-series terms off the factorization, `sigma_brute`
 enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
 range, each n from n // p for its least prime factor p. The sieve fills a
-stdlib `array('q')`, or an int64 numpy array by the same recurrence in blocks
+stdlib `array('I')`, or a uint32 numpy array by the same recurrence in blocks
 when the caller asks for one and numpy imports; only the pair searches ask, so
-only they import numpy. Either storage holds 8 bytes per entry. `SieveTable.s`,
-the s-value engine of `find_cycles`, `aliquot_sequence` and the `array('q')`
-search scan, extends a table past its limit by splitting n into its power of
-2, an odd part made of the primes below 1000 (found by gcds with their
-product) and a rough rest, reading each from the table when it fits; a rough
-rest past the table goes once to the splitter `_split_rough`, which
-prime-tests each piece at most once and peels primes below 2**16 off a
-composite piece by staged gcds before it calls Brent rho. The numpy search
-scan settles its partners past the table in batches with `_array_s`, the
-same split on int64 arrays: the power of 2, then trial division of the odd
-part by the table's own primes until the rest fits the table or must be a
-prime.
+only they import numpy. Either storage holds 4 bytes per entry, which Robin's
+bound keeps exact within the sieve budget. `SieveTable.s`, the s-value engine
+of `find_cycles`, `aliquot_sequence` and the `array('I')` search scan, extends
+a table past its limit by splitting n into its power of 2, an odd part made of
+the primes below 1000 (found by gcds with their product) and a rough rest,
+reading each from the table when it fits; a rough rest past the table goes
+once to the splitter `_split_rough`, which prime-tests each piece at most once
+and peels primes below 2**16 off a composite piece by staged gcds before it
+calls Brent rho. The numpy search scan settles its partners past the table in
+batches with `_array_s`, the same split on int64 arrays: the power of 2, then
+trial division of the odd part by the table's own primes until the rest fits
+the table or must be a prime.
 `find_cycles` keeps a set of the values past its table whose walk's end is
 known, so walks that share a stretch past the table stop where it begins.
 `sigma`, `aliquot_s` and `factorize` keep plain trial division, an independent
@@ -49,10 +49,13 @@ __all__ = [
     "SIEVE_BUDGET_ENV",
 ]
 
-# Entry budget for sieve tables; override with the environment variable when
-# a host can afford more (or should be capped tighter).
-DEFAULT_SIEVE_BUDGET = 1 << 31
+# Entry budget of the 4-byte sieve tables. Robin's unconditional bound
+# sigma(n) < n (e**gamma ln ln n + 0.6483 / ln ln n), n >= 3, keeps s(n) below
+# 2**32 for n <= 932277512 and no further; the environment can only lower it.
+DEFAULT_SIEVE_BUDGET = 932_277_513
 SIEVE_BUDGET_ENV = "AMICABLE_SIEVE_BUDGET"
+# The stdlib table's typecode: "I" has 4 bytes almost everywhere, but Python promises 2.
+_TYPECODE = next(code for code in "IL" if pyarray(code).itemsize >= 4)
 
 
 def _sigma_of_powers(factors) -> int:
@@ -117,12 +120,12 @@ _CHUNK = 1 << 16
 class SieveTable:
     """Aliquot sums for every index up to `limit`; treat as read-only.
 
-    `s_values` is a stdlib `array('q')`, or an int64 numpy array when built
-    by `build_sieve(limit, array=True)` with numpy installed; both cost 8 bytes
+    `s_values` is a stdlib `array('I')`, or a uint32 numpy array when built
+    by `build_sieve(limit, array=True)` with numpy installed; both cost 4 bytes
     per entry, and `s` returns a Python int for both. The searches and
     `find_cycles` build one with `build_sieve`; `aliquot_sequence` walks a
     two-slot table holding [0, 0], so all its work is in `s`. `s` is the one
-    scalar s-value engine: the `array('q')` search scan calls it for each
+    scalar s-value engine: the `array('I')` search scan calls it for each
     partner past the table, while the numpy scan settles those partners in
     arrays with `_array_s`, by the same split. `find_cycles`
     keeps, beside the table, a set of the values past it whose walk's end is
@@ -131,7 +134,7 @@ class SieveTable:
     """
 
     limit: int
-    s_values: pyarray  # typecode "q", or a numpy.ndarray of int64
+    s_values: pyarray  # typecode "I" (see _TYPECODE), or a numpy.ndarray of uint32
 
     def __post_init__(self):
         if self.limit < 1:
@@ -192,7 +195,7 @@ class SieveTable:
 def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     """Tabulate s(n) for all n <= limit by a least-prime-factor sieve.
 
-    Two passes over one stdlib `array('q')` of 8 bytes per entry. The first
+    Two passes over one stdlib `array('I')` of 4 bytes per entry. The first
     writes p into the slots p*p, p*p + p, ... for the primes p up to
     sqrt(limit), largest first, so every composite slot ends up holding its
     least prime factor and a prime's slot keeps 0. The second runs n upwards:
@@ -200,13 +203,14 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     (p + 1) * sigma(m), minus p * sigma(m // p) when p divides m, so s(n)
     is (p + 1) * s(m) + m, or (p + 1) * s(m) - p * s(m // p); both slots are
     below n and already final. A prime gets s = 1, and slots 0 and 1 hold 0.
-    Each slot holds s(n) < sigma(n) < 6n, far inside int64.
+    Each slot holds s(n) < 2**32, by Robin's bound within the default budget.
 
-    With `array=True` the table is an int64 numpy array filled by the same
-    two passes in `_array_sieve`, or the `array('q')` above when numpy does
+    With `array=True` the table is a uint32 numpy array filled by the same
+    two passes in `_array_sieve`, or the `array('I')` above when numpy does
     not import.
-    Raises LimitTooLarge when limit + 1 entries exceed the budget, which is
-    the AMICABLE_SIEVE_BUDGET variable when set and 2**31 otherwise, and
+    Raises LimitTooLarge before allocating when limit + 1 entries exceed the
+    budget: AMICABLE_SIEVE_BUDGET when set and lower, else 932277513, the
+    4-byte exactness cap, so every limit from 932277513 up is refused; and
     BadParameter when limit is not an integer of at least 1 or that variable
     is not an integer.
     """
@@ -214,11 +218,12 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
         raise BadParameter("sieve limit must be an integer of at least 1")
     env = os.environ.get(SIEVE_BUDGET_ENV)
     try:
-        budget = int(env) if env else DEFAULT_SIEVE_BUDGET
+        budget = min(int(env), DEFAULT_SIEVE_BUDGET) if env else DEFAULT_SIEVE_BUDGET
     except ValueError:
         raise BadParameter(f"{SIEVE_BUDGET_ENV}={env!r} is not a whole number of entries") from None
     if limit + 1 > budget:
-        raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}")
+        cap = ", the exactness cap of 4-byte entries" if budget == DEFAULT_SIEVE_BUDGET else ""
+        raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}{cap}")
     if array:
         try:
             import numpy
@@ -226,9 +231,9 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
             pass
         else:
             return SieveTable(limit, _array_sieve(numpy, limit))
-    s = pyarray("q", [0]) * (limit + 1)
+    s = pyarray(_TYPECODE, [0]) * (limit + 1)
     for p in reversed(_sieve_primes(isqrt(limit))):
-        s[p * p :: p] = pyarray("q", [p]) * ((limit - p * p) // p + 1)
+        s[p * p :: p] = pyarray(_TYPECODE, [p]) * ((limit - p * p) // p + 1)
     # Slots below n hold s, slots from n up their least prime factor (0 at a prime).
     for n in range(2, limit + 1):
         p = s[n]
@@ -244,15 +249,16 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
 
 
 def _array_sieve(np, limit: int):
-    """The table of `build_sieve` on an int64 numpy array, by the same recurrence.
+    """The table of `build_sieve` on a uint32 numpy array, by the same recurrence.
 
     Pass 1 is the stdlib one with a scalar on the right. Pass 2 runs over
     blocks [lo, hi) with hi <= 2 * lo, so every m = n // p and m // p of a
     block is below lo and already final, and each block is one vectorized
     step. A prime counts as its own least prime factor, so m = 1 gives s = 1.
-    Every intermediate is below (p + 1) * 6m <= 9n, far inside int64.
+    A block computes in int64, where every intermediate is below
+    (p + 1) * 6m <= 9n, and only its final s(n) < 2**32 is stored.
     """
-    s = np.zeros(limit + 1, dtype=np.int64)
+    s = np.zeros(limit + 1, dtype=np.uint32)
     for p in reversed(_sieve_primes(isqrt(limit))):
         s[p * p :: p] = p
     lo = 2
@@ -270,7 +276,7 @@ def _array_sieve(np, limit: int):
 
 
 def _array_s(np, table: SieveTable, ns):
-    """int64 array of `table.s(n)` for an int64 array of n, every n >= 1.
+    """int64 array of `table.s(n)` for an int64 array of n, 1 <= n < (limit + 1)**2.
 
     The split of `SieveTable.s`, vectorized: the power of 2 is the low set
     bit, with sigma(2**k) = 2 * low - 1, and the odd rest is trial-divided by
@@ -278,11 +284,13 @@ def _array_s(np, table: SieveTable, ns):
     each prime power's sigma built by Horner's rule. A value settles as soon
     as its rest fits the table, sigma(rest) = s(rest) + rest, since the rest
     is coprime to what was stripped, or is below the square of the next prime
-    to try, so that it is a prime. Only a rest that outlasts every prime of a
-    table too small to reach its square root goes to scalar `table.s`.
-    int64 is exact as long as sigma(n) is: a search's partners are below
-    6 * 2**31 under the default budget, so sigma(n) < 2**37 by Robin's
-    unconditional bound sigma(n) < n (e**gamma ln ln n + 0.6483 / ln ln n).
+    to try, so that it is a prime. Every rest settles, since the table holds
+    every prime up to its square root; a search's partners are below
+    6 * limit, which is below (limit + 1)**2 from limit 5 up, and no partner
+    of a smaller limit passes it. Table reads are uint32 and widen to int64,
+    which is exact as long as sigma(n) is: partners are s-values of a table
+    within the default budget, so below 2**32, and sigma(n) < 2**35 by
+    Robin's bound (see DEFAULT_SIEVE_BUDGET).
     """
     s_values, limit = table.s_values, table.limit
     low = ns & -ns
@@ -316,8 +324,6 @@ def _array_s(np, table: SieveTable, ns):
                 again = again[r[again] % p == 0]
             rest[hit] = r
             known[hit] *= term
-    for i, k, r in zip(where.tolist(), known.tolist(), rest.tolist()):
-        out[i] = k * (table.s(r) + r)
     return out - ns
 
 

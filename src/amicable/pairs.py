@@ -3,9 +3,9 @@
 A pair (m, n) is amicable when s(m) = n and s(n) = m with m != n, and
 betrothed when s(m) = n + 1 and s(n) = m + 1. Searches anchor on the smaller
 member m <= limit in one `SieveTable`. Partners beyond the limit are looked up
-by the split of `SieveTable.s`, run on int64 arrays over the numpy table and
-called once per partner over the `array('q')` table. Every hit is re-verified
-against `sigma_brute` before it is reported; a disagreement raises
+by the split of `SieveTable.s`, run on int64 arrays over the uint32 numpy
+table and called once per partner over the `array('I')` table. Every hit is
+re-verified against `sigma_brute` before it is reported; a disagreement raises
 VerificationFailed, which `python -O` does not remove.
 """
 
@@ -133,9 +133,9 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
     table and settled in one call of `_array_s`, the split of `SieveTable.s`
     on int64 arrays. So the kernel's per-prime steps are shared by many
     lookups, while no call takes _CHUNK // 4 + _CHUNK values or more. On the
-    stdlib `array('q')` table the loop reads it directly and calls `table.s`
-    for each partner past the limit. Pairs come out as Python ints, in no
-    particular order.
+    stdlib `array('I')` table the loop reads it directly and calls `table.s`
+    for each partner past the limit. uint32 reads widen to int64 before a
+    shift is subtracted. Pairs come out as Python ints, in no particular order.
     """
     s_values = table.s_values
     limit = table.limit
@@ -152,7 +152,7 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
     far, held = [], 0  # the m whose partner lies past the limit, not yet settled
     for start in range(lo, hi, _CHUNK):
         ms = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        ns = s_values[start : start + len(ms)] - shift
+        ns = s_values[start : start + len(ms)].astype(np.int64) - shift
         inside = np.flatnonzero((ns > ms) & (ns <= limit))
         inside = inside[s_values[ns[inside]] == ms[inside] + shift]
         found += zip(ms[inside].tolist(), ns[inside].tolist())
@@ -161,7 +161,7 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
         del ms, ns, inside  # the block's arrays go before the kernel makes its own
         if held >= _CHUNK // 4 or start + _CHUNK >= hi:
             m = np.concatenate(far)
-            n = s_values[m] - shift
+            n = s_values[m].astype(np.int64) - shift
             hit = np.flatnonzero(_array_s(np, table, n) == m + shift)
             found += zip(m[hit].tolist(), n[hit].tolist())
             far, held = [], 0
@@ -190,7 +190,7 @@ def _run_scan(limit, table, shift, parallel, workers):
 def _search(limit, shift, parallel=False, workers=None) -> SearchReport:
     if limit < 2:
         raise BadParameter("search limit must be at least 2")
-    if workers is not None and workers < 1:
+    if workers is not None and (not isinstance(workers, int) or workers < 1):
         raise BadParameter("a parallel search needs at least one worker")
     table = build_sieve(limit, array=True)
     pairs = sorted(_run_scan(limit, table, shift, parallel, workers))
@@ -210,11 +210,13 @@ def search_amicable(
 ) -> SearchReport:
     """All amicable pairs (m, n) with m < n and m <= limit.
 
-    The scan reads one table from `build_sieve(limit, array=True)`: an int64
-    numpy array when numpy is installed, a stdlib `array('q')` otherwise, within
-    the sieve budget either way. Partners past the limit are looked up by the
+    The scan reads one table from `build_sieve(limit, array=True)`: a uint32
+    numpy array when numpy is installed, a stdlib `array('I')` otherwise, 4
+    bytes per entry either way. The sieve budget caps it where Robin's bound
+    keeps s below 2**32, so a limit of 932277513 or more raises LimitTooLarge
+    before anything is allocated. Partners past the limit are looked up by the
     split of `SieveTable.s`: the numpy scan runs it on int64 arrays
-    (`divisor._array_s`), the `array('q')` scan calls `SieveTable.s` for each.
+    (`divisor._array_s`), the `array('I')` scan calls `SieveTable.s` for each.
     Each hit is re-verified with sigma_brute, raising VerificationFailed on a
     disagreement.
     `parallel` partitions the scan range across `workers` processes (default:

@@ -5,6 +5,7 @@ import tracemalloc
 from array import array as stdarray
 from math import isqrt
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -161,7 +162,7 @@ def test_build_sieve_rejects_bad_limits(monkeypatch):
     ids=["build_sieve", "search_amicable", "find_cycles", "aliquot_sequence"],
 )
 def test_float_limit_or_start_is_a_bad_parameter(call):
-    # a float is refused up front, not by numpy or array('q') deep inside the fill
+    # a float is refused up front, not by numpy or array('I') deep inside the fill
     with pytest.raises(BadParameter, match="integer"):
         call()
 
@@ -172,6 +173,40 @@ def test_build_sieve_budget_env_override(monkeypatch):
         build_sieve(5000)
     monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "6000")
     assert build_sieve(5000).limit == 5000
+
+
+def robin_s_bound(n):
+    # s(n) = sigma(n) - n < n (e**gamma ln ln n + 0.6483 / ln ln n) - n for n >= 3
+    # (Robin, J. Math. Pures Appl. 63, 1984); increasing in n from n = 7 up
+    ll = mpmath.log(mpmath.log(n))
+    return n * (mpmath.exp(mpmath.euler) * ll + mpmath.mpf("0.6483") / ll) - n
+
+
+def test_default_budget_is_where_robins_bound_leaves_4_bytes():
+    # the largest limit admitted, DEFAULT_SIEVE_BUDGET - 1, is the last n whose
+    # bound on s(n) stays below 2**32; below n = 7, s(n) < n anyway
+    cap = amicable.divisor.DEFAULT_SIEVE_BUDGET - 1
+    with mpmath.workdps(40):
+        assert robin_s_bound(cap) < 2**32 <= robin_s_bound(cap + 1)
+
+
+@pytest.mark.parametrize("array", [False, True])
+def test_a_limit_past_the_exactness_cap_is_refused_whatever_the_budget(monkeypatch, array):
+    # checked before anything is allocated; the variable can only lower the cap
+    assert amicable.divisor.DEFAULT_SIEVE_BUDGET == 932_277_513
+    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", str(2**40))
+    with pytest.raises(LimitTooLarge, match="932277514 entries exceeds the budget of 932277513, the exactness cap"):
+        build_sieve(932_277_513, array=array)
+
+
+def test_step_counts_and_workers_must_be_integers():
+    # each passed its range check and raised a bare TypeError inside the walk or the pool
+    with pytest.raises(BadParameter):
+        find_cycles(10**4, 30.5)
+    with pytest.raises(BadParameter):
+        aliquot_sequence(276, 10.5)
+    with pytest.raises(BadParameter):
+        search_amicable(10**4, parallel=True, workers=1.5)
 
 
 def additive_sieve(limit):

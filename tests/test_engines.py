@@ -1,14 +1,16 @@
-"""The two table storages: the int64 numpy sieve against the stdlib
-`array('q')` sieve, which storage the pair searches scan, the array kernel
-that settles the numpy scan's partners past the table against `SieveTable.s`,
-the type of a table lookup on either, the code paths that must never import
-numpy, and the search pool under the spawn and forkserver start methods. That
-every engine gives the same search report is checked in test_pairs.py.
+"""The two table storages: the uint32 numpy sieve against the stdlib
+`array('I')` sieve, both against the bytes of the int64 tables they replaced,
+which storage the pair searches scan, the array kernel that settles the numpy
+scan's partners past the table against `SieveTable.s`, the type of a table
+lookup on either, the code paths that must never import numpy, and the
+search pool under the spawn and forkserver start methods. That every engine
+gives the same search report is checked in test_pairs.py.
 
 Tests of the numpy kernel skip when numpy is not installed; the stdlib-engine
 checks run either way.
 """
 
+import hashlib
 import importlib.util
 import multiprocessing
 import os
@@ -57,19 +59,21 @@ def test_array_sieve_at_the_square_root_boundary(p):
 @needs_numpy
 def test_array_sieve_equals_stdlib_sieve_at_2e5():
     table = build_sieve(200_000, array=True)
-    assert table.s_values.dtype.name == "int64"
+    assert table.s_values.dtype.name == "uint32"
     assert table.s_values.tolist() == build_sieve(200_000).s_values.tolist()
 
 
 @needs_numpy
 def test_array_sieve_is_exact_in_int16():
-    # Run the kernel in int16: every sigma(n) up to 9239 is below 2**15, so every
-    # final slot fits. The recurrence divides indices only, never slot values, so
-    # a product that wraps on the way still lands on s(n) modulo 2**16.
+    # Store the table in int16 and run the blocks in it too: every sigma(n) up to
+    # 9239 is below 2**15, so every final slot fits. The recurrence divides indices
+    # only, never slot values, so a product that wraps on the way still lands on
+    # s(n) modulo 2**16. So a storage only has to hold the final s-values, which is
+    # what lets the uint32 table reach as far as Robin's bound keeps s below 2**32.
     import numpy
 
     class Int16Numpy:
-        int64 = numpy.int16
+        int64 = uint32 = numpy.int16
 
         def __getattr__(self, name):
             return getattr(numpy, name)
@@ -80,23 +84,37 @@ def test_array_sieve_is_exact_in_int16():
 
 @needs_numpy
 def test_array_sieve_holds_one_table_and_a_few_blocks():
-    # pass 2's temporaries are block-sized; a whole-table temporary would lift
-    # the peak to 2x the table or more
+    # a 4-byte table and block-sized int64 temporaries; an 8-byte table, or a
+    # whole-table temporary, would lift the peak past 3/4 of 8 bytes per entry
     import numpy  # noqa: F401  (its import allocates; keep it out of the trace)
 
     tracemalloc.start()
     try:
-        s_values = build_sieve(10**6, array=True).s_values
+        build_sieve(10**6, array=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * s_values.nbytes
+    assert peak <= 0.75 * 8 * (10**6 + 1)
+
+
+# sha256 of the table to 10**6 as little-endian int64, the storage of both tables
+# before they were narrowed to 4 bytes
+TABLE_1E6_SHA256 = "99f70d95db4990adf42796857e585d4b5d33e064f81f9009d97491314b0e39d5"
+
+
+@pytest.mark.parametrize("array", [False, pytest.param(True, marks=needs_numpy)])
+def test_narrow_tables_hold_the_int64_bytes(array):
+    s_values = build_sieve(10**6, array=array).s_values
+    wide = s_values.astype("<i8") if array else stdarray("q", s_values)
+    if not array and sys.byteorder == "big":
+        wide.byteswap()
+    assert hashlib.sha256(wide.tobytes()).hexdigest() == TABLE_1E6_SHA256
 
 
 def test_array_request_without_numpy_gives_the_stdlib_table(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
     table = build_sieve(300, array=True)
-    assert type(table.s_values) is stdarray and table.s_values.typecode == "q"
+    assert type(table.s_values) is stdarray and table.s_values.typecode == "I"
     assert table.s_values == build_sieve(300).s_values
 
 
@@ -122,32 +140,24 @@ def table_s_calls(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_array_s_equals_table_s(data):
+    # `_array_s` takes n below (limit + 1)**2, as every search partner is
     limit = data.draw(st.integers(2, 3000), label="limit")
     table = build_sieve(limit, array=True)
-    ns = data.draw(st.lists(st.integers(limit + 1, 8 * limit), min_size=1, max_size=40), label="ns")
+    top = min(8 * limit, (limit + 1) ** 2 - 1)
+    ns = data.draw(st.lists(st.integers(limit + 1, top), min_size=1, max_size=40), label="ns")
     assert array_s(table, ns) == [table.s(n) for n in ns]
 
 
 @needs_numpy
-@pytest.mark.parametrize("limit", [2, 3, 30, 1000, 3000])
+@pytest.mark.parametrize("limit", [2, 3, 30, 1000, 3000, 100_000])
 def test_array_s_explicit_cases(limit):
     table = build_sieve(limit, array=True)
     above = list(sympy.primerange(1000, 1100))
     ns = [2**k for k in range(1, 45)]
     ns += [p**e for p in (3, 5, 7, 31, 991, 997) for e in range(2, 12) if p**e < 2**45]
     ns += [p * q for p, q in zip(above, reversed(above))] + [6 * p * q for p, q in zip(above, above[1:])]
-    ns = [n for n in ns if n > limit]
+    ns = [n for n in ns if limit < n < (limit + 1) ** 2]
     assert array_s(table, ns) == [table.s(n) for n in ns] == [aliquot_s(n) for n in ns]
-
-
-@needs_numpy
-def test_array_s_hands_rests_past_a_tiny_table_to_table_s(table_s_calls):
-    # no prime above 30 is in the table, so an odd rest past 31**2 free of the
-    # primes up to 30 can only be settled by the scalar lookup
-    ns = [2**40 + k for k in range(-64, 64)] + [2**10 * 1000003 * 1000033]
-    expected = [aliquot_s(n) for n in ns]
-    assert array_s(build_sieve(30, array=True), ns) == expected
-    assert table_s_calls and all(n % 2 and n > 31**2 for n in table_s_calls)
 
 
 @needs_numpy
@@ -207,9 +217,9 @@ def test_table_lookups_are_python_ints(array):
     limit = 1000
     table = build_sieve(limit, array=array)
     if array:
-        assert table.s_values.dtype.name == "int64"
+        assert table.s_values.dtype.name == "uint32"
     else:
-        assert type(table.s_values) is stdarray and table.s_values.typecode == "q"
+        assert type(table.s_values) is stdarray and table.s_values.typecode == "I"
     # inside the table, at its edge, past it (prime, shrinking into the table, rough)
     for n in (0, 1, 2, 220, limit - 1, limit, limit + 1, 1009, 2 * 997, 1009 * 1013):
         value = table.s(n)
