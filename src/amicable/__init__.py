@@ -41,7 +41,6 @@ from .divisor import (
 )
 from .errors import (
     BadParameter,
-    DegenerateSubtraction,
     FactorBudgetExceeded,
     LimitTooLarge,
     ToolkitError,

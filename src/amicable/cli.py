@@ -213,8 +213,6 @@ def _pqr_line(lead: str, c) -> str:
 
 def _borho_line(c) -> str:
     head = f"a={c.a} u={c.u} n={c.n}: t={c.t}, p1={c.p1}, p2={c.p2}"
-    if c.degenerate_subtraction:
-        head += " (degenerate subtraction)"
     if c.pair is None:
         failed = [name for name, ok in asdict(c.hypothesis).items() if not ok]
         head += "; failed: " + ", ".join(failed)

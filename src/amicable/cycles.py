@@ -45,7 +45,7 @@ class AliquotResult:
 
 # s(0) = s(1) = 0; SieveTable.s splits every larger n into its power of 2, its
 # 1000-smooth odd part and its rough part, and takes sigma of each on its own
-_UNIT_TABLE = SieveTable(1, array(_TYPECODE, [0, 0]))
+_UNIT_TABLE = SieveTable(array(_TYPECODE, [0, 0]))
 _NO_STOPS = bytes(2)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from array import array as pyarray
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd, isqrt, prod
 
@@ -129,18 +129,18 @@ class SieveTable:
     partner past the table, while the numpy scan settles those partners in
     arrays with `_array_s`, by the same split. `find_cycles`
     keeps, beside the table, a set of the values past it whose walk's end is
-    known. A limit below 1 raises BadParameter: `s` reads sigma(1) = 1 from
-    slot 1. So does a storage without exactly limit + 1 slots.
+    known. The limit is the storage's last index, len(s_values) - 1, so a
+    storage of fewer than two slots raises BadParameter: `s` reads
+    sigma(1) = 1 from slot 1.
     """
 
-    limit: int
     s_values: pyarray  # typecode "I" (see _TYPECODE), or a numpy.ndarray of uint32
+    limit: int = field(init=False)
 
     def __post_init__(self):
+        self.limit = len(self.s_values) - 1
         if self.limit < 1:
             raise BadParameter("a SieveTable needs slots 0 and 1, so a limit of at least 1")
-        if len(self.s_values) != self.limit + 1:
-            raise BadParameter(f"a SieveTable of limit {self.limit} needs {self.limit + 1} slots")
 
     def s(self, n: int) -> int:
         """s(n) for any n >= 0, equal to `aliquot_s(n)`: every aliquot step's engine.
@@ -230,7 +230,7 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
         except ImportError:
             pass
         else:
-            return SieveTable(limit, _array_sieve(numpy, limit))
+            return SieveTable(_array_sieve(numpy, limit))
     s = pyarray(_TYPECODE, [0]) * (limit + 1)
     for p in reversed(_sieve_primes(isqrt(limit))):
         s[p * p :: p] = pyarray(_TYPECODE, [p]) * ((limit - p * p) // p + 1)
@@ -245,7 +245,7 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
                 s[n] = (p + 1) * s[m] - p * s[m // p]
         else:
             s[n] = 1
-    return SieveTable(limit, s)
+    return SieveTable(s)
 
 
 def _array_sieve(np, limit: int):

@@ -17,10 +17,6 @@ class LimitTooLarge(ToolkitError):
     """A sieve or search limit exceeds the configured memory budget."""
 
 
-class DegenerateSubtraction(ToolkitError):
-    """A natural-number subtraction would truncate where the construction forbids it."""
-
-
 class UnsupportedFormat(ToolkitError):
     """The requested serialization format is not defined for this object."""
 

@@ -9,15 +9,14 @@ Three parametrized rules are implemented:
   a = 2**(n-m) + 1, p = 2**m*a - 1, q = 2**n*a - 1, r = 2**(n+m)*a**2 - 1;
   when all three are prime, (2**n*p*q, 2**n*r) is amicable; n - m = 1 gives
   back the doubling rule, which is how `thabit_candidate` evaluates it;
-* the breeder construction of Borho and Hoffmann (1986): from a pair
-  (a*u, a) and t = sigma(u), form p1 = t**n*(u+1) - 1 and
-  p2 = t**n*(u+1)*(t-u) - 1, giving the candidate pair
-  (a*u*t**n*p1, a*t**n*p2) under a sevenfold hypothesis.
+* the breeder construction (Borho, Math. Comp. 26, 1972; Borho and Hoffmann,
+  Math. Comp. 46, 1986): from a breeder, an amicable pair (a*u, a*p) with
+  p = sigma(u) - 1 prime and gcd(a, u*p) = 1, and t = u + sigma(u), form
+  p1 = t**n*(u+1) - 1 and p2 = t**n*(u+1)*(t-u) - 1; when t, p1 and p2 are
+  primes coprime to the cofactors, (a*u*t**n*p1, a*t**n*p2) is amicable.
 
 Every candidate records its primality gates; a constructed pair is always
-re-verified numerically through sigma before `verified` is set. Candidates
-whose natural-number subtraction clamped at zero are flagged degenerate and
-never reach the primality gate.
+re-verified numerically through sigma before `verified` is set.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import astuple, dataclass
 from math import gcd
 
 from .divisor import sigma, sigma_brute
-from .errors import BadParameter, DegenerateSubtraction
+from .errors import BadParameter
 from .numeric import is_prime, prime_test_mode
 from .pairs import PairKind, check_amicable
 
@@ -50,18 +49,15 @@ def _euler_numbers(m: int, n: int) -> tuple[int, int, int, int]:
     return a, p, q, r
 
 
-def _borho_numbers(a: int, u: int, n: int) -> tuple[int, int, int, int, bool]:
-    """(t, t**n, p1, p2, degenerate) of the breeder construction at (a, u, n)."""
+def _borho_numbers(a: int, u: int, n: int) -> tuple[int, int, int, int]:
+    """(t, t**n, p1, p2) of the breeder construction at (a, u, n)."""
     if a < 1 or u < 1 or n < 1:
         raise BadParameter("the breeder construction needs a, u, n >= 1")
-    t = sigma(u)
-    if t < u:
-        raise DegenerateSubtraction(f"sigma({u}) = {t} falls below u")
+    t = u + sigma(u)
     tn = t**n
     p1 = tn * (u + 1) - 1
-    degenerate = t == u
-    p2 = 0 if degenerate else (p1 + 1) * (t - u) - 1
-    return t, tn, p1, p2, degenerate
+    p2 = (p1 + 1) * (t - u) - 1
+    return t, tn, p1, p2
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,6 @@ class BorhoCandidate:
     t: int
     p1: int
     p2: int
-    degenerate_subtraction: bool
     hypothesis: BorhoHypothesis
     primality_mode: str
     pair: tuple[int, int] | None
@@ -162,28 +157,31 @@ class BorhoCandidate:
 def borho_candidate(a: int, u: int, n: int) -> BorhoCandidate:
     """Evaluate the breeder construction at (a, u, n), all at least 1.
 
-    The subtraction t - u is only evaluated for t >= u (DegenerateSubtraction
-    otherwise). When t = u the p2 formula would dip below zero; the value
-    clamps to 0, the candidate is flagged degenerate, p1 and p2 skip the
-    primality gate, and no pair is formed.
+    t = u + sigma(u), so the factor t - u = sigma(u) of p2 + 1 is at least 1.
+    The breeder conjunct holds when (a*u, a*p) is amicable, p = sigma(u) - 1 is
+    prime and gcd(a, u*p) = 1; the pair is formed only when all seven
+    conjuncts hold.
     """
-    t, tn, p1, p2, degenerate = _borho_numbers(a, u, n)
+    t, tn, p1, p2 = _borho_numbers(a, u, n)
+    p = t - u - 1
     hypothesis = BorhoHypothesis(
-        breeder_amicable=check_amicable(a * u, a).kind is PairKind.AMICABLE,
+        breeder_amicable=check_amicable(a * u, a * p).kind is PairKind.AMICABLE
+        and is_prime(p)
+        and gcd(a, u * p) == 1,
         t_prime=is_prime(t),
-        p1_prime=False if degenerate else is_prime(p1),
-        p2_prime=False if degenerate else is_prime(p2),
+        p1_prime=is_prime(p1),
+        p2_prime=is_prime(p2),
         coprime_au_t=gcd(a * u, t) == 1,
         coprime_au_p1=gcd(a * u, p1) == 1,
         coprime_a_p2=gcd(a, p2) == 1,
     )
     pair = None
     verified = False
-    if not degenerate and hypothesis.satisfied:
+    if hypothesis.satisfied:
         pair = (a * u * tn * p1, a * tn * p2)
         verified = verify_pair_by_sigma(*pair)
     mode = prime_test_mode(max(t, p1, p2))
-    return BorhoCandidate(a, u, n, t, p1, p2, degenerate, hypothesis, mode, pair, verified)
+    return BorhoCandidate(a, u, n, t, p1, p2, hypothesis, mode, pair, verified)
 
 
 def thabit_identity_check(k: int) -> bool:
@@ -204,28 +202,19 @@ def euler_identity_check(m: int, n: int) -> bool:
 def borho_structure_check(a: int, u: int, n: int) -> bool:
     """Check the breeder construction's shape against independent recomputation.
 
-    Verifies p1 + 1 = t**n * (u + 1), the p2 identity with the truncation
-    boundary handled exactly (p2 = 0 when t = u, else
-    p2 + 1 = (p1 + 1) * (t - u)), and the assembled products
-    M = a*u*t**n*p1, N = a*t**n*p2. The cross-check recomputes t through
-    divisor enumeration and the power t**n by repeated multiplication.
+    Verifies t = u + sigma(u), t**n, p1 + 1 = t**n * (u + 1) and
+    p2 + 1 = (p1 + 1) * (t - u): every factor of the pair
+    (a*u*t**n*p1, a*t**n*p2) that `borho_candidate` assembles. The cross-check
+    recomputes sigma(u) through divisor enumeration and the power t**n by
+    repeated multiplication.
     """
-    t, _, p1, p2, degenerate = _borho_numbers(a, u, n)
-    if sigma_brute(u) != t:
-        return False
-    M = a * u * t**n * p1
-    N = a * t**n * p2
-
-    tn = 1
+    t, tn, p1, p2 = _borho_numbers(a, u, n)
+    power = 1
     for _ in range(n):
-        tn *= t
-    if p1 + 1 != tn * (u + 1):
-        return False
-    if degenerate:
-        if p2 != 0:
-            return False
-    elif p2 + 1 != (p1 + 1) * (t - u):
-        return False
-    if M != a * u * tn * p1 or N != a * tn * p2:
-        return False
-    return True
+        power *= t
+    return (
+        t == u + sigma_brute(u)
+        and tn == power
+        and p1 + 1 == power * (u + 1)
+        and p2 + 1 == (p1 + 1) * (t - u)
+    )

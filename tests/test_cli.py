@@ -184,8 +184,17 @@ def test_generate_borho(capsys):
     code, out, _ = invoke(capsys, "generate", "borho", "--a", "3", "--u", "4", "--n", "1")
     assert code == 1
     assert out == (
-        "a=3 u=4 n=1: t=7, p1=34, p2=104; "
-        "failed: breeder_amicable, p1_prime, p2_prime, coprime_au_p1 -> rejected\n"
+        "a=3 u=4 n=1: t=11, p1=54, p2=384; "
+        "failed: breeder_amicable, p1_prime, p2_prime, coprime_au_p1, coprime_a_p2 -> rejected\n"
+    )
+
+
+def test_generate_borho_breeds_from_220_284(capsys):
+    code, out, _ = invoke(capsys, "generate", "borho", "--a", "4", "--u", "55", "--n", "2")
+    assert code == 0
+    assert out == (
+        "a=4 u=55 n=2: t=127, p1=903223, p2=65032127"
+        " -> pair (3204978428740, 4195612705532) verified\n"
     )
 
 

@@ -28,6 +28,7 @@ from amicable import (
     ThabitCandidate,
     UnsupportedFormat,
     build_sieve,
+    borho_candidate,
     candidate_from_json,
     euler_candidate,
     export_report,
@@ -85,7 +86,7 @@ CANDIDATES = st.one_of(
     ),
     st.builds(
         BorhoCandidate,
-        a=big, u=big, n=big, t=big, p1=big, p2=big, degenerate_subtraction=flag,
+        a=big, u=big, n=big, t=big, p1=big, p2=big,
         hypothesis=st.builds(
             BorhoHypothesis,
             breeder_amicable=flag, t_prime=flag, p1_prime=flag, p2_prime=flag,
@@ -223,6 +224,13 @@ VERDICT = '"m":"1","n":"2","s_m":"0","s_n":"0","guard_failures":[]'
             lambda raw: from_json(raw, EulerCandidate),
             export_report(euler_candidate(2, 4)).replace(b'"rule":"euler"', b'"rule":"borho"'),
         ),
+        (
+            # breeder exports lost their degenerate_subtraction key; one that has it no longer decodes
+            candidate_from_json,
+            export_report(borho_candidate(3, 4, 1)).replace(
+                b',"hypothesis"', b',"degenerate_subtraction":false,"hypothesis"'
+            ),
+        ),
         # nesting deeper than the parser's recursion limit
         (lambda raw: from_json(raw, SearchReport), b"[" * 100000),
         (candidate_from_json, b'{"rule":' * 50000),
@@ -230,7 +238,7 @@ VERDICT = '"m":"1","n":"2","s_m":"0","s_n":"0","guard_failures":[]'
     ids=[
         "list", "missing-field", "missing-member", "not-json", "unknown-kind", "bad-int",
         "string-as-bool", "float-as-int", "retired-oracle", "extra-key", "extra-pair-key",
-        "wrong-rule", "deep-list", "deep-candidate",
+        "wrong-rule", "retired-breeder-flag", "deep-list", "deep-candidate",
     ],
 )
 def test_malformed_json_raises_unsupported_format(decode, raw):

@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from array import array as stdarray
 from math import isqrt
 
 import mpmath
@@ -272,25 +271,18 @@ def test_table_lookup_beyond_limit_matches_oracles(data):
     c = data.draw(st.integers(0, 4), label="c")
     q = data.draw(st.sampled_from(ROUGH_PARTS), label="q")
     n = 2**a * 3**b * 997**c * q
-    assert table.s(n) == SieveTable(1, [0, 0]).s(n) == aliquot_s(n) == sympy.divisor_sigma(n) - n
+    assert table.s(n) == SieveTable([0, 0]).s(n) == aliquot_s(n) == sympy.divisor_sigma(n) - n
 
 
 def test_table_lookup_inside_limit_reads_table():
     table = build_sieve(500)
+    assert table.limit == SieveTable(table.s_values).limit == 500
     assert [table.s(n) for n in range(501)] == table.s_values.tolist()
     with pytest.raises(BadParameter):
         table.s(-1)
     # past the limit, s reads sigma(1) from slot 1, so a table must hold it
     with pytest.raises(BadParameter):
-        SieveTable(0, [0])
-
-
-def test_table_storage_must_hold_limit_plus_one_slots():
-    # a short storage would raise a bare IndexError inside s; a long one would hide slots
-    for slots in (2, 12):
-        with pytest.raises(BadParameter, match="needs 11 slots"):
-            SieveTable(10, stdarray("q", [0] * slots))
-    assert SieveTable(10, build_sieve(10).s_values).s(12) == 16
+        SieveTable([0])
 
 
 def test_table_lookup_explicit_cases(monkeypatch):
@@ -353,18 +345,18 @@ def test_table_lookup_explicit_cases(monkeypatch):
     monkeypatch.setattr(amicable.numeric, "is_prime", lambda n: tested.append(n) or is_prime(n))
     factorize.cache_clear()
     n = 2 * 1009 * 1013
-    assert SieveTable(1, [0, 0]).s(n) == sigma_oracle(n) - n
+    assert SieveTable([0, 0]).s(n) == sigma_oracle(n) - n
     assert tested == [1009 * 1013]
     # so is each piece the stages split off: 4093 is below 1000**2, 4099 * 16411 is not
     tested.clear()
     n = 2 * 4093 * 4099 * 16411
-    assert SieveTable(1, [0, 0]).s(n) == sympy.divisor_sigma(n) - n
+    assert SieveTable([0, 0]).s(n) == sympy.divisor_sigma(n) - n
     assert tested == [4093 * 4099 * 16411, 4099 * 16411]
 
 
 def test_table_lookup_peels_twos_smooth_and_rough_parts(monkeypatch):
     limit = 20_000
-    tables = [build_sieve(limit), build_sieve(limit, array=True), SieveTable(1, [0, 0])]
+    tables = [build_sieve(limit), build_sieve(limit, array=True), SieveTable([0, 0])]
     split = []
     split_rough = amicable.divisor._split_rough
     monkeypatch.setattr(amicable.divisor, "_split_rough", lambda n: split.append(n) or split_rough(n))

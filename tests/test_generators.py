@@ -2,8 +2,10 @@
 
 import random
 from dataclasses import fields, replace
+from math import gcd
 
 import pytest
+import sympy
 
 from amicable import (
     BadParameter,
@@ -14,6 +16,7 @@ from amicable import (
     check_amicable,
     euler_candidate,
     euler_identity_check,
+    search_amicable,
     sigma,
     thabit_candidate,
     thabit_identity_check,
@@ -142,17 +145,44 @@ def test_verify_pair_by_sigma_examples_and_guards():
 
 def test_borho_worked_example_rejects():
     c = borho_candidate(3, 4, 1)
-    assert c.t == 7
-    assert (c.p1, c.p2) == (34, 104)
+    assert c.t == 11  # 4 + sigma(4)
+    assert (c.p1, c.p2) == (54, 384)
     assert c.hypothesis.t_prime
-    assert not c.hypothesis.p1_prime  # 34 = 2 * 17
-    assert not c.hypothesis.breeder_amicable
-    assert not c.hypothesis.coprime_au_p1  # gcd(12, 34) = 2
+    assert not c.hypothesis.p1_prime  # 54 = 2 * 3**3
+    assert not c.hypothesis.breeder_amicable  # (12, 18) is not amicable
+    assert not c.hypothesis.coprime_au_p1  # gcd(12, 54) = 6
     assert c.hypothesis.coprime_au_t
-    assert c.hypothesis.coprime_a_p2
+    assert not c.hypothesis.coprime_a_p2  # gcd(3, 384) = 3
     assert not c.hypothesis.satisfied
     assert c.pair is None and not c.verified
-    assert not c.degenerate_subtraction
+
+
+def test_borho_breeds_from_220_284():
+    # (220, 284) = (4 * 55, 4 * 71) with sigma(55) = 72 = 71 + 1, so t = 55 + 72 = 127
+    c = borho_candidate(4, 55, 2)
+    assert (c.t, c.p1, c.p2) == (127, 903223, 65032127)
+    assert c.hypothesis.satisfied
+    assert c.pair == (3204978428740, 4195612705532)
+    assert c.verified
+    m, n = c.pair
+    assert sympy.divisor_sigma(m) == sympy.divisor_sigma(n) == m + n
+
+
+def test_borho_hypothesis_suffices_for_breeders_below_a_million():
+    # every pair below 10**6 in both orders, as (a*u, a*p) for each divisor a of its gcd
+    candidates = [
+        borho_candidate(a, m // a, n)
+        for pair in search_amicable(10**6).pairs
+        for m, partner in (pair, pair[::-1])
+        for a in sympy.divisors(gcd(m, partner))
+        for n in range(1, 6)
+    ]
+    satisfied = [c for c in candidates if c.hypothesis.satisfied]
+    assert (4, 55, 2) in {(c.a, c.u, c.n) for c in satisfied}
+    for c in satisfied:
+        m, n = c.pair
+        assert sympy.divisor_sigma(m) == sympy.divisor_sigma(n) == m + n
+        assert c.verified
 
 
 def test_borho_hypothesis_needs_all_seven_conjuncts():
@@ -164,21 +194,18 @@ def test_borho_hypothesis_needs_all_seven_conjuncts():
         assert not replace(every, **{name: False}).satisfied
 
 
+def test_borho_breeder_needs_prime_p_coprime_to_a(monkeypatch):
+    # every breeder pair reads as amicable, so only p = sigma(u) - 1 and gcd(a, u*p) decide
+    monkeypatch.setattr("amicable.generators.check_amicable", lambda m, n: check_amicable(220, 284))
+    assert borho_candidate(3, 2, 1).hypothesis.breeder_amicable  # p = 2, gcd(3, 4) = 1
+    assert not borho_candidate(5, 4, 1).hypothesis.breeder_amicable  # p = 6, gcd(5, 4*6) = 1
+    assert not borho_candidate(2, 2, 1).hypothesis.breeder_amicable  # gcd(2, 2*2) = 2
+
+
 def test_borho_breeder_guard_equal_members():
-    # u = 1 makes the breeder check compare a number with itself
+    # u = 1 makes p = sigma(1) - 1 = 0, so the breeder check meets the zero member of (220, 0)
     c = borho_candidate(220, 1, 1)
     assert not c.hypothesis.breeder_amicable
-    assert c.pair is None
-
-
-def test_borho_degenerate_when_u_is_one():
-    # sigma(1) = 1 = u, so t - u = 0 and p2 clamps to zero
-    c = borho_candidate(1, 1, 1)
-    assert c.t == 1
-    assert c.degenerate_subtraction
-    assert c.p2 == 0
-    assert not c.hypothesis.t_prime
-    assert not c.hypothesis.p1_prime and not c.hypothesis.p2_prime
     assert c.pair is None
 
 
@@ -198,11 +225,11 @@ def test_borho_structure_worked_examples():
 
 def test_borho_structure_values():
     c = borho_candidate(2, 9, 2)
-    assert c.t == 13
-    assert (c.p1, c.p2) == (1689, 6759)
+    assert c.t == 22  # 9 + sigma(9)
+    assert (c.p1, c.p2) == (4839, 62919)
     # construction identities, recomputed here from scratch
-    assert c.p1 + 1 == 13**2 * 10
-    assert c.p2 + 1 == (c.p1 + 1) * (13 - 9)
+    assert c.p1 + 1 == 22**2 * 10
+    assert c.p2 + 1 == (c.p1 + 1) * (22 - 9)
 
 
 def test_borho_structure_random_sweep():
