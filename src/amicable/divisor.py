@@ -74,7 +74,7 @@ def sigma(n: int) -> int:
 
     Each prime power contributes 1 + p + ... + p**e (`_sigma_of_powers`).
     """
-    if n < 0:
+    if not isinstance(n, int) or n < 0:
         raise BadParameter("sigma expects a nonnegative integer")
     if n == 0:
         return 0
@@ -83,7 +83,7 @@ def sigma(n: int) -> int:
 
 def sigma_brute(n: int) -> int:
     """Divisor sum by direct enumeration up to sqrt(n); oracle for `sigma`."""
-    if n < 0:
+    if not isinstance(n, int) or n < 0:
         raise BadParameter("sigma_brute expects a nonnegative integer")
     if n == 0:
         return 0
@@ -98,11 +98,7 @@ def sigma_brute(n: int) -> int:
 
 
 def aliquot_s(n: int) -> int:
-    """Proper-divisor sum s(n) = sigma(n) - n, with s(0) = 0 and s(1) = 0."""
-    if n <= 1:
-        if n < 0:
-            raise BadParameter("aliquot_s expects a nonnegative integer")
-        return 0
+    """s(n) = sigma(n) - n, so s(0) = s(1) = 0; `sigma` refuses a negative or non-integer n."""
     return sigma(n) - n
 
 

@@ -41,7 +41,11 @@ def verify_pair_by_sigma(m: int, n: int) -> bool:
 
 
 def _euler_numbers(m: int, n: int) -> tuple[int, int, int, int]:
-    """(a, p, q, r) of Euler's rule at exponents (m, n)."""
+    """(a, p, q, r) of Euler's rule at integers 1 <= m < n, the one gate of its domain."""
+    if not isinstance(m, int) or m < 1:
+        raise BadParameter("Euler's rule needs m >= 1")
+    if not isinstance(n, int) or m >= n:
+        raise BadParameter("Euler's rule needs m < n")
     a = (1 << (n - m)) + 1
     p = (1 << m) * a - 1
     q = (1 << n) * a - 1
@@ -50,8 +54,8 @@ def _euler_numbers(m: int, n: int) -> tuple[int, int, int, int]:
 
 
 def _borho_numbers(a: int, u: int, n: int) -> tuple[int, int, int, int]:
-    """(t, t**n, p1, p2) of the breeder construction at (a, u, n)."""
-    if a < 1 or u < 1 or n < 1:
+    """(t, t**n, p1, p2) of the breeder construction at integers a, u, n >= 1."""
+    if not all(isinstance(v, int) and v >= 1 for v in (a, u, n)):
         raise BadParameter("the breeder construction needs a, u, n >= 1")
     t = u + sigma(u)
     tn = t**n
@@ -76,7 +80,7 @@ class ThabitCandidate:
 
 def thabit_candidate(k: int) -> ThabitCandidate:
     """Evaluate the doubling rule at shift k >= 1: Euler's rule at (k, k + 1)."""
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise BadParameter("the doubling rule needs k >= 1")
     c = euler_candidate(k, k + 1)
     return ThabitCandidate(
@@ -105,12 +109,8 @@ def euler_candidate(m: int, n: int) -> EulerCandidate:
 
     The classical statement takes 1 < m, but m = 1 is accepted here: the
     construction and its sigma identities hold verbatim, and the known
-    working instance (1, 8) uses it.
+    working instance (1, 8) uses it. `_euler_numbers` refuses any other (m, n).
     """
-    if m < 1:
-        raise BadParameter("Euler's rule needs m >= 1")
-    if m >= n:
-        raise BadParameter("Euler's rule needs m < n")
     a, p, q, r = _euler_numbers(m, n)
     p_prime, q_prime, r_prime = is_prime(p), is_prime(q), is_prime(r)
     pair = None
@@ -186,15 +186,13 @@ def borho_candidate(a: int, u: int, n: int) -> BorhoCandidate:
 
 def thabit_identity_check(k: int) -> bool:
     """Exact check of (p + 1)(q + 1) = r + 1 for the doubling rule at k."""
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise BadParameter("the doubling rule needs k >= 1")
     return euler_identity_check(k, k + 1)
 
 
 def euler_identity_check(m: int, n: int) -> bool:
     """Exact check of (p + 1)(q + 1) = r + 1 for Euler's rule at (m, n)."""
-    if m < 1 or m >= n:
-        raise BadParameter("Euler's rule needs 1 <= m < n")
     _, p, q, r = _euler_numbers(m, n)
     return (p + 1) * (q + 1) == r + 1
 

@@ -170,8 +170,10 @@ def is_prime(n: int) -> bool:
     from 3.8 * 10**18). Larger inputs get all twelve rounds plus a strong
     Lucas test; no counterexample to that combination is known, but the
     verdict is formally probabilistic, which callers can surface via
-    `prime_test_mode`.
+    `prime_test_mode`. A non-integer n raises BadParameter.
     """
+    if not isinstance(n, int):
+        raise BadParameter(f"is_prime expects an integer, got {type(n).__name__}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -166,6 +166,39 @@ def test_float_limit_or_start_is_a_bad_parameter(call):
         call()
 
 
+# the integer entry points besides the four limits and starts above
+FLOAT_CALLS = {
+    "sigma": lambda: sigma(0.0),
+    "sigma_brute": lambda: sigma_brute(10.0),
+    "aliquot_s": lambda: aliquot_s(0.5),
+    "classify": lambda: classify(0.5),
+    "check_amicable": lambda: amicable.check_amicable(0.5, 0),
+    "check_betrothed": lambda: amicable.check_betrothed(48.0, 75),
+    "is_amicable_number": lambda: amicable.is_amicable_number(0.5),
+    "is_prime_half": lambda: amicable.is_prime(2.5),
+    "is_prime_whole": lambda: amicable.is_prime(7.0),
+    "is_prime_large": lambda: amicable.is_prime(1369.5),
+    "factorize": lambda: factorize(12.0),
+    "search_betrothed": lambda: amicable.search_betrothed(300.0),
+    "verify_pair_by_sigma": lambda: amicable.verify_pair_by_sigma(220.0, 284),
+    "verify_cycle": lambda: amicable.verify_cycle([220.0, 284]),
+    "euler_candidate_m": lambda: amicable.euler_candidate(29.0, 40),
+    "euler_candidate_n": lambda: amicable.euler_candidate(1, 8.0),
+    "thabit_candidate": lambda: amicable.thabit_candidate(3.0),
+    "borho_candidate": lambda: amicable.borho_candidate(4, 55, 2.0),
+    "euler_identity_check": lambda: amicable.euler_identity_check(1.0, 8),
+    "thabit_identity_check": lambda: amicable.thabit_identity_check(3.0),
+    "borho_structure_check": lambda: amicable.borho_structure_check(4, 55, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=FLOAT_CALLS.keys())
+def test_float_argument_is_a_bad_parameter(call):
+    # each rule's one gate refuses a float, whole or not, before any arithmetic sees it
+    with pytest.raises(BadParameter):
+        call()
+
+
 def test_build_sieve_budget_env_override(monkeypatch):
     monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "100")
     with pytest.raises(LimitTooLarge):
