@@ -119,8 +119,11 @@ def verify_cycle(members: list[int] | tuple[int, ...]) -> CycleCheck:
 
     Length at least two, all members nonzero, no repeats, and s maps each
     member to the next with wraparound. The verdict is truthy on success.
+    A negative or non-integer member raises BadParameter before any verdict.
     """
     members = tuple(members)
+    if not all(isinstance(v, int) and v >= 0 for v in members):
+        raise BadParameter("verify_cycle expects nonnegative integer members")
     if len(members) < 2:
         return CycleCheck(False, "length below 2")
     if any(v == 0 for v in members):

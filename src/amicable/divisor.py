@@ -15,9 +15,11 @@ reading each from the table when it fits; a rough rest past the table goes
 once to the splitter `_split_rough`, which prime-tests each piece at most once
 and peels primes below 2**16 off a composite piece by staged gcds before it
 calls Brent rho. The numpy search scan settles its partners past the table in
-batches with `_array_s`, the same split on int64 arrays: the power of 2, then
-trial division of the odd part by the table's own primes until the rest fits
-the table or must be a prime.
+batches with `_array_s`, which tests the scan's condition sigma(n) = m + n +
+shift instead of computing s(n): the same split on int64 arrays, the power of
+2, then trial division of the odd part by the table's own primes, each part's
+sigma dividing the target, until the rest fits the table or must be a prime,
+or a bound on sigma of the rest shows that the target is out of reach.
 `find_cycles` keeps a set of the values past its table whose walk's end is
 known, so walks that share a stretch past the table stop where it begins.
 `sigma`, `aliquot_s` and `factorize` keep plain trial division, an independent
@@ -122,8 +124,9 @@ class SieveTable:
     `find_cycles` build one with `build_sieve`; `aliquot_sequence` walks a
     two-slot table holding [0, 0], so all its work is in `s`. `s` is the one
     scalar s-value engine: the `array('I')` search scan calls it for each
-    partner past the table, while the numpy scan settles those partners in
-    arrays with `_array_s`, by the same split. `find_cycles`
+    partner past the table, while the numpy scan tests sigma(n) = m + n +
+    shift for those partners in arrays with `_array_s`, by the same split and
+    without computing s(n). `find_cycles`
     keeps, beside the table, a set of the values past it whose walk's end is
     known. The limit is the storage's last index, len(s_values) - 1, so a
     storage of fewer than two slots raises BadParameter: `s` reads
@@ -271,43 +274,63 @@ def _array_sieve(np, limit: int):
     return s
 
 
-def _array_s(np, table: SieveTable, ns):
-    """int64 array of `table.s(n)` for an int64 array of n, 1 <= n < (limit + 1)**2.
+def _array_s(np, table: SieveTable, ns, need):
+    """bool array telling, for int64 arrays ns and need, whether sigma(n) == need.
 
-    The split of `SieveTable.s`, vectorized: the power of 2 is the low set
-    bit, with sigma(2**k) = 2 * low - 1, and the odd rest is trial-divided by
-    the table's own odd primes (the slots holding s = 1) in increasing order,
-    each prime power's sigma built by Horner's rule. A value settles as soon
-    as its rest fits the table, sigma(rest) = s(rest) + rest, since the rest
-    is coprime to what was stripped, or is below the square of the next prime
-    to try, so that it is a prime. Every rest settles, since the table holds
-    every prime up to its square root; a search's partners are below
-    6 * limit, which is below (limit + 1)**2 from limit 5 up, and no partner
-    of a smaller limit passes it. Table reads are uint32 and widen to int64,
-    which is exact as long as sigma(n) is: partners are s-values of a table
-    within the default budget, so below 2**32, and sigma(n) < 2**35 by
-    Robin's bound (see DEFAULT_SIEVE_BUDGET).
+    The scan's condition s(n) = m + shift is sigma(n) = m + n + shift, so the
+    kernel tests that target and never computes s(n). It runs the split of
+    `SieveTable.s` for 1 <= n < (limit + 1)**2: the power of 2 is the low set
+    bit, the odd rest is trial-divided by the table's own odd primes (the
+    slots holding s = 1) in increasing order, and each part stripped, 2**a or
+    p**e, divides `need` by its sigma (Horner's rule); a sigma that does not
+    divide it refutes n, and `need` becomes -1. At checkpoints, when p has
+    grown by half since the last one, a value settles when its rest fits the
+    table, sigma(rest) = s(rest) + rest, since the rest is coprime to what
+    was stripped, or is below p**2, so that it is a prime with sigma = rest + 1;
+    the table holds every prime up to the square root of a rest, since a
+    search's partners are below 6 * limit, which is below (limit + 1)**2 from
+    limit 5 up, and no partner of a smaller limit passes it. A rest
+    still past the limit stays only while
+    0 <= need - rest - 1 <= (2**k - 2) * (rest // q), with q = max(p, 3) and
+    k the largest j with q**j <= the largest rest, and otherwise settles
+    False (the bound admits need = rest + 1). The bound holds because
+      the rest is odd, above 1, free of primes below p: sigma >= rest + 1, = iff prime;
+      tau(rest) <= 2**Omega(rest) <= 2**k, since q**Omega(rest) <= rest;
+      each divisor other than 1 and the rest is rest // e for some e >= q.
+    So a prime rest whose target is not rest + 1 is dropped a few primes in,
+    where trial division would prove it prime only at its square root. A pending rest is at least p**2 = q**2,
+    so k >= 2, and the bound is tested as gap // (2**k - 2) <= rest // q,
+    the same inequality with no product to overflow. Everything is int64:
+    partners are s-values of a table within the default budget, so below
+    2**32, and sigma(n) < 2**35 by Robin's bound (see DEFAULT_SIEVE_BUDGET).
     """
     s_values, limit = table.s_values, table.limit
     low = ns & -ns
-    known = 2 * low - 1  # sigma of the parts stripped so far
+    part = 2 * low - 1  # sigma(2**a)
+    need = np.where(need % part == 0, need // part, -1)  # the target of sigma(rest), or -1
     rest = ns // low
-    out = np.empty_like(ns)
+    out = np.zeros(len(ns), dtype=bool)
     where = np.arange(len(ns))
     bound = min(isqrt(int(rest.max(initial=0))), limit)
     primes = (np.flatnonzero(s_values[3 : bound + 1 : 2] == 1) * 2 + 3).tolist()
-    last = 0  # the prime at the last settling, which is exact at any prime
+    last = 0  # the prime at the last checkpoint, which is exact at any prime
     for p in primes + [bound + 1]:  # past the last prime, every rest below (bound + 1)**2 is prime
         if 2 * p >= 3 * last or p > bound:
             last = p
             pending = rest >= max(limit + 1, p * p)
+            if pending.any():  # never a rest within the limit: rest 1 has sigma 1 < 1 + 1
+                q, k, top = max(p, 3), 1, int(rest.max())  # the last round's p may be 1 or 2
+                while q ** (k + 1) <= top:
+                    k += 1
+                gap = need - rest - 1
+                pending &= (gap >= 0) & (gap // (2**k - 2) <= rest // q)
             if not pending.all():
                 done = np.flatnonzero(~pending)
                 r = rest[done]
                 fits = r <= limit
-                out[where[done]] = known[done] * np.where(fits, s_values[np.where(fits, r, 0)] + r, r + 1)
+                out[where[done]] = need[done] == np.where(fits, s_values[np.where(fits, r, 0)] + r, r + 1)
                 keep = np.flatnonzero(pending)
-                rest, known, where = rest[keep], known[keep], where[keep]
+                rest, need, where = rest[keep], need[keep], where[keep]
             if p > bound or not len(rest):
                 break
         hit = np.flatnonzero(rest % p == 0)
@@ -319,8 +342,9 @@ def _array_s(np, table: SieveTable, ns):
                 term[again] = term[again] * p + 1
                 again = again[r[again] % p == 0]
             rest[hit] = r
-            known[hit] *= term
-    return out - ns
+            t, left = np.divmod(need[hit], term)
+            need[hit] = np.where(left, -1, t)
+    return out
 
 
 class Classification(str, Enum):
@@ -337,10 +361,14 @@ class NumberClass:
 
 
 def classify(n: int) -> NumberClass:
-    """Deficient, perfect, or abundant according to s(n) versus n."""
+    """Deficient, perfect, or abundant according to s(n) versus n.
+
+    `aliquot_s` runs first, so `sigma`'s gate sees a non-integer before the
+    zero test does.
+    """
+    s = aliquot_s(n)
     if n == 0:
         raise ZeroInput("0 is not classified")
-    s = aliquot_s(n)
     if s == n:
         tag = Classification.PERFECT
     elif s > n:

@@ -202,6 +202,8 @@ def is_prime(n: int) -> bool:
 
 def prime_test_mode(n: int) -> str:
     """'deterministic' when `is_prime(n)` is a proof, 'probabilistic' otherwise."""
+    if not isinstance(n, int):
+        raise BadParameter(f"prime_test_mode expects an integer, got {type(n).__name__}")
     return "deterministic" if n < PRIME_DETERMINISTIC_BOUND else "probabilistic"
 
 

@@ -2,9 +2,10 @@
 
 A pair (m, n) is amicable when s(m) = n and s(n) = m with m != n, and
 betrothed when s(m) = n + 1 and s(n) = m + 1. Searches anchor on the smaller
-member m <= limit in one `SieveTable`. Partners beyond the limit are looked up
-by the split of `SieveTable.s`, run on int64 arrays over the uint32 numpy
-table and called once per partner over the `array('I')` table. Every hit is
+member m <= limit in one `SieveTable`. Partners beyond the limit are checked
+by the split of `SieveTable.s`: over the uint32 numpy table `_array_s` tests
+sigma(n) = m + n + shift on int64 arrays, and over the `array('I')` table
+`SieveTable.s` is called once per partner. Every hit is
 re-verified against `sigma_brute` before it is reported; a disagreement raises
 VerificationFailed, which `python -O` does not remove.
 """
@@ -130,8 +131,10 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
     _CHUNK values of m, so temporaries stay a few blocks' worth. The m whose
     partner lies past the limit are held across blocks; once they number
     _CHUNK // 4, and after the last block, their partners are re-read from the
-    table and settled in one call of `_array_s`, the split of `SieveTable.s`
-    on int64 arrays. So the kernel's per-prime steps are shared by many
+    table and settled in one call of `_array_s`, which tests the scan's
+    condition s(n) = m + shift as sigma(n) = m + n + shift by the split of
+    `SieveTable.s` on int64 arrays, and drops a partner as soon as that
+    target is out of reach. So the kernel's per-prime steps are shared by many
     lookups, while no call takes _CHUNK // 4 + _CHUNK values or more. On the
     stdlib `array('I')` table the loop reads it directly and calls `table.s`
     for each partner past the limit. uint32 reads widen to int64 before a
@@ -162,7 +165,7 @@ def _scan(lo: int, hi: int, table: SieveTable, shift: int) -> list[tuple[int, in
         if held >= _CHUNK // 4 or start + _CHUNK >= hi:
             m = np.concatenate(far)
             n = s_values[m].astype(np.int64) - shift
-            hit = np.flatnonzero(_array_s(np, table, n) == m + shift)
+            hit = np.flatnonzero(_array_s(np, table, n, m + n + shift))
             found += zip(m[hit].tolist(), n[hit].tolist())
             far, held = [], 0
     return found
@@ -214,9 +217,10 @@ def search_amicable(
     numpy array when numpy is installed, a stdlib `array('I')` otherwise, 4
     bytes per entry either way. The sieve budget caps it where Robin's bound
     keeps s below 2**32, so a limit of 932277513 or more raises LimitTooLarge
-    before anything is allocated. Partners past the limit are looked up by the
-    split of `SieveTable.s`: the numpy scan runs it on int64 arrays
-    (`divisor._array_s`), the `array('I')` scan calls `SieveTable.s` for each.
+    before anything is allocated. Partners past the limit are checked by the
+    split of `SieveTable.s`: the numpy scan tests sigma(n) = m + n on int64
+    arrays (`divisor._array_s`), the `array('I')` scan calls `SieveTable.s`
+    for each.
     Each hit is re-verified with sigma_brute, raising VerificationFailed on a
     disagreement.
     `parallel` partitions the scan range across `workers` processes (default:

@@ -170,6 +170,13 @@ def test_verify_cycle_rejections_name_first_failure():
     assert not verify_cycle(POULET[::-1]).ok
 
 
+@pytest.mark.parametrize("members", [[-1], [-5, 0], [-5, -5], [-5, 3]])
+def test_verify_cycle_refuses_a_negative_member_before_any_verdict(members):
+    # a negative member is outside s's domain, however short the list or whatever it holds
+    with pytest.raises(BadParameter):
+        verify_cycle(members)
+
+
 def test_find_cycles_frozen_examples():
     assert find_cycles(100, 5) == []
     cycles = find_cycles(300, 2)

@@ -172,16 +172,20 @@ FLOAT_CALLS = {
     "sigma_brute": lambda: sigma_brute(10.0),
     "aliquot_s": lambda: aliquot_s(0.5),
     "classify": lambda: classify(0.5),
+    "classify_zero": lambda: classify(0.0),
     "check_amicable": lambda: amicable.check_amicable(0.5, 0),
     "check_betrothed": lambda: amicable.check_betrothed(48.0, 75),
     "is_amicable_number": lambda: amicable.is_amicable_number(0.5),
     "is_prime_half": lambda: amicable.is_prime(2.5),
     "is_prime_whole": lambda: amicable.is_prime(7.0),
     "is_prime_large": lambda: amicable.is_prime(1369.5),
+    "prime_test_mode": lambda: amicable.prime_test_mode(2.5),
     "factorize": lambda: factorize(12.0),
     "search_betrothed": lambda: amicable.search_betrothed(300.0),
     "verify_pair_by_sigma": lambda: amicable.verify_pair_by_sigma(220.0, 284),
     "verify_cycle": lambda: amicable.verify_cycle([220.0, 284]),
+    "verify_cycle_short": lambda: amicable.verify_cycle([1.5]),
+    "verify_cycle_zero": lambda: amicable.verify_cycle([0.0, 1]),
     "euler_candidate_m": lambda: amicable.euler_candidate(29.0, 40),
     "euler_candidate_n": lambda: amicable.euler_candidate(1, 8.0),
     "thabit_candidate": lambda: amicable.thabit_candidate(3.0),

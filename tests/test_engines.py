@@ -12,6 +12,7 @@ checks run either way.
 
 import hashlib
 import importlib.util
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -122,9 +123,14 @@ def test_array_request_without_numpy_gives_the_stdlib_table(monkeypatch):
 
 
 def array_s(table, ns):
+    """Check `_array_s` on ns against `table.s`: true at sigma(n), false just beside it."""
     import numpy
 
-    return _array_s(numpy, table, numpy.array(ns, dtype=numpy.int64)).tolist()
+    sigmas = [table.s(n) + n for n in ns]
+    ns = numpy.array(ns, dtype=numpy.int64)
+    for delta in (0, -2, -1, 1, 2):
+        need = numpy.array([v + delta for v in sigmas], dtype=numpy.int64)
+        assert _array_s(numpy, table, ns, need).tolist() == [delta == 0] * len(ns), delta
 
 
 @pytest.fixture
@@ -145,7 +151,7 @@ def test_array_s_equals_table_s(data):
     table = build_sieve(limit, array=True)
     top = min(8 * limit, (limit + 1) ** 2 - 1)
     ns = data.draw(st.lists(st.integers(limit + 1, top), min_size=1, max_size=40), label="ns")
-    assert array_s(table, ns) == [table.s(n) for n in ns]
+    array_s(table, ns)
 
 
 @needs_numpy
@@ -157,7 +163,31 @@ def test_array_s_explicit_cases(limit):
     ns += [p**e for p in (3, 5, 7, 31, 991, 997) for e in range(2, 12) if p**e < 2**45]
     ns += [p * q for p, q in zip(above, reversed(above))] + [6 * p * q for p, q in zip(above, above[1:])]
     ns = [n for n in ns if limit < n < (limit + 1) ** 2]
-    assert array_s(table, ns) == [table.s(n) for n in ns] == [aliquot_s(n) for n in ns]
+    assert [table.s(n) for n in ns] == [aliquot_s(n) for n in ns]
+    array_s(table, ns)
+
+
+@needs_numpy
+def test_array_s_drops_prime_partners_once_the_target_is_out_of_reach():
+    # sigma(p) = p + 1 is far below p // 2 + p + 1, and the checkpoint bound sees it
+    # by p = 29; proving each p prime would take every table prime up to sqrt(p),
+    # about 225 calls of flatnonzero for this batch
+    import numpy
+
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(numpy, name)
+
+        def flatnonzero(self, a):
+            calls.append(len(a))
+            return numpy.flatnonzero(a)
+
+    table = build_sieve(10**6, array=True)
+    ns = numpy.array(list(itertools.islice(sympy.primerange(2_000_000, 3_000_000), 1000)), dtype=numpy.int64)
+    assert not _array_s(CountingNumpy(), table, ns, ns // 2 + ns + 1).any()
+    assert len(calls) <= 30, len(calls)
 
 
 @needs_numpy
@@ -178,19 +208,26 @@ def test_numpy_scan_settles_every_far_partner_in_bounded_batches(monkeypatch):
     # the last partners
     limit = 13 * _CHUNK
     s_values = build_sieve(limit).s_values
-    batches = []
+    batches, targets = [], []
     settle = amicable.pairs._array_s
-    monkeypatch.setattr(
-        amicable.pairs, "_array_s", lambda np, table, ns: batches.append(ns.tolist()) or settle(np, table, ns)
-    )
+
+    def recorder(np, table, ns, need):
+        batches.append(ns.tolist())
+        targets.extend((need - ns).tolist())
+        return settle(np, table, ns, need)
+
+    monkeypatch.setattr(amicable.pairs, "_array_s", recorder)
     for shift, search in ((0, search_amicable), (1, search_betrothed)):
         batches.clear()
+        targets.clear()
         search(limit)
         sizes = [len(batch) for batch in batches]
         assert len(sizes) > 1 and min(sizes[:-1]) >= _CHUNK // 4, sizes
         assert max(sizes) < _CHUNK // 4 + _CHUNK, sizes
-        far = [s_values[m] - shift for m in range(2, limit + 1) if s_values[m] - shift > limit]
-        assert [n for batch in batches for n in batch] == far, search.__name__
+        far = [m for m in range(2, limit + 1) if s_values[m] - shift > limit]
+        assert [n for batch in batches for n in batch] == [s_values[m] - shift for m in far], search.__name__
+        # each partner n of m is tested against sigma(n) = m + n + shift
+        assert targets == [m + shift for m in far], search.__name__
 
 
 # -- searches and types -------------------------------------------------------
