@@ -29,7 +29,6 @@ from .cycles import (
 )
 from .divisor import (
     DEFAULT_SIEVE_BUDGET,
-    SIEVE_BUDGET_ENV,
     Classification,
     NumberClass,
     SieveTable,

@@ -188,11 +188,11 @@ def _shape(hint) -> tuple[str, object]:
 def _encode(value, hint) -> object:
     shape, arg = _shape(hint)
     if shape == "int":
-        return str(value)
+        return "%d" % value  # the digits, also of a bool, which passes every integer gate
     if shape == "optional":
         return None if value is None else _encode(value, arg)
     if shape == "pair":
-        return {"m": str(value[0]), "n": str(value[1])}
+        return {"m": "%d" % value[0], "n": "%d" % value[1]}
     if shape in ("tuple", "list"):
         return [_encode(item, arg) for item in value]
     if shape == "record":

@@ -93,7 +93,7 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
         raise BadParameter("aliquot sequences start at an integer of 1 or above")
     if not isinstance(max_steps, int) or max_steps < 1:
         raise BadParameter("max_steps must be at least 1")
-    if ceiling < start:
+    if not isinstance(ceiling, int) or ceiling < start:
         raise BadParameter("ceiling must not be below the starting value")
     trajectory, outcome, entry = _walk(
         start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS, frozenset()

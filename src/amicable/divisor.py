@@ -29,7 +29,6 @@ through `aliquot_s`, so a defect in one path cannot silently corrupt results.
 
 from __future__ import annotations
 
-import os
 from array import array as pyarray
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,14 +47,12 @@ __all__ = [
     "NumberClass",
     "Classification",
     "DEFAULT_SIEVE_BUDGET",
-    "SIEVE_BUDGET_ENV",
 ]
 
 # Entry budget of the 4-byte sieve tables. Robin's unconditional bound
 # sigma(n) < n (e**gamma ln ln n + 0.6483 / ln ln n), n >= 3, keeps s(n) below
-# 2**32 for n <= 932277512 and no further; the environment can only lower it.
+# 2**32 for n <= 932277512 and no further.
 DEFAULT_SIEVE_BUDGET = 932_277_513
-SIEVE_BUDGET_ENV = "AMICABLE_SIEVE_BUDGET"
 # The stdlib table's typecode: "I" has 4 bytes almost everywhere, but Python promises 2.
 _TYPECODE = next(code for code in "IL" if pyarray(code).itemsize >= 4)
 
@@ -207,22 +204,18 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     With `array=True` the table is a uint32 numpy array filled by the same
     two passes in `_array_sieve`, or the `array('I')` above when numpy does
     not import.
-    Raises LimitTooLarge before allocating when limit + 1 entries exceed the
-    budget: AMICABLE_SIEVE_BUDGET when set and lower, else 932277513, the
-    4-byte exactness cap, so every limit from 932277513 up is refused; and
-    BadParameter when limit is not an integer of at least 1 or that variable
-    is not an integer.
+    Raises LimitTooLarge before allocating when limit + 1 entries exceed
+    DEFAULT_SIEVE_BUDGET, 932277513, the 4-byte exactness cap, so every limit
+    from 932277513 up is refused; and BadParameter when limit is not an
+    integer of at least 1.
     """
     if not isinstance(limit, int) or limit < 1:
         raise BadParameter("sieve limit must be an integer of at least 1")
-    env = os.environ.get(SIEVE_BUDGET_ENV)
-    try:
-        budget = min(int(env), DEFAULT_SIEVE_BUDGET) if env else DEFAULT_SIEVE_BUDGET
-    except ValueError:
-        raise BadParameter(f"{SIEVE_BUDGET_ENV}={env!r} is not a whole number of entries") from None
-    if limit + 1 > budget:
-        cap = ", the exactness cap of 4-byte entries" if budget == DEFAULT_SIEVE_BUDGET else ""
-        raise LimitTooLarge(f"sieve of {limit + 1} entries exceeds the budget of {budget}{cap}")
+    if limit + 1 > DEFAULT_SIEVE_BUDGET:
+        raise LimitTooLarge(
+            f"sieve of {limit + 1} entries exceeds the budget of {DEFAULT_SIEVE_BUDGET},"
+            " the exactness cap of 4-byte entries"
+        )
     if array:
         try:
             import numpy

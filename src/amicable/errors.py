@@ -14,7 +14,7 @@ class BadParameter(ToolkitError):
 
 
 class LimitTooLarge(ToolkitError):
-    """A sieve or search limit exceeds the configured memory budget."""
+    """A sieve or search limit exceeds the exactness cap of the 4-byte table."""
 
 
 class UnsupportedFormat(ToolkitError):

@@ -281,12 +281,11 @@ def test_rho_budget_overrun_exits_two_and_names_the_number(capsys, monkeypatch):
     assert err == f"error: no factor of {n} found in 4096 Brent rho steps\n"
 
 
-def test_malformed_sieve_budget_is_a_usage_error(capsys, monkeypatch):
-    # exit 1 would read as a negative verdict
+def test_the_sieve_budget_variable_is_ignored(capsys, monkeypatch):
+    # the environment is no input: a malformed value of the old budget variable changes nothing
     monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "abc")
-    code, out, err = invoke(capsys, "search", "--max", "100")
-    assert (code, out) == (2, "")
-    assert err == "error: AMICABLE_SIEVE_BUDGET='abc' is not a whole number of entries\n"
+    code, out, _ = invoke(capsys, "search", "--max", "1300")
+    assert (code, out) == (0, "220 284\n1184 1210\npairs=2 all_even=true min_gcd=2 oracle=Sieve\n")
 
 
 def test_generate_thabit_k_max_zero_is_rejected_like_k_zero(capsys):

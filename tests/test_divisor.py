@@ -133,21 +133,26 @@ def test_build_sieve_limit_one():
     assert table.s_values.tolist() == [0, 0]
 
 
-def test_build_sieve_rejects_bad_limits(monkeypatch):
+def refused_before_allocating(call, match=None):
+    # the cap is checked first: a 4-byte table at the cap would take 3.5 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitTooLarge, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_build_sieve_rejects_bad_limits():
     with pytest.raises(BadParameter):
         build_sieve(0)
-    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "1000")
-    # the budget holds for both storages
+    # the cap holds for both storages
     for array in (False, True):
-        with pytest.raises(LimitTooLarge):
-            build_sieve(10_000, array=array)
-        assert build_sieve(999, array=array).limit == 999
+        refused_before_allocating(lambda: build_sieve(932_277_513, array=array))
     with pytest.raises(TypeError):
-        build_sieve(10_000, 1000)  # the budget is no longer an argument
-    for bad in ("abc", "1e6", " "):
-        monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", bad)
-        with pytest.raises(BadParameter, match=f"AMICABLE_SIEVE_BUDGET={bad!r}"):
-            build_sieve(100)
+        build_sieve(10_000, 1000)  # the budget is not an argument
 
 
 @pytest.mark.parametrize(
@@ -171,6 +176,7 @@ FLOAT_CALLS = {
     "sigma": lambda: sigma(0.0),
     "sigma_brute": lambda: sigma_brute(10.0),
     "aliquot_s": lambda: aliquot_s(0.5),
+    "aliquot_sequence_ceiling": lambda: aliquot_sequence(276, 10, 1e20),
     "classify": lambda: classify(0.5),
     "classify_zero": lambda: classify(0.0),
     "check_amicable": lambda: amicable.check_amicable(0.5, 0),
@@ -203,14 +209,6 @@ def test_float_argument_is_a_bad_parameter(call):
         call()
 
 
-def test_build_sieve_budget_env_override(monkeypatch):
-    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "100")
-    with pytest.raises(LimitTooLarge):
-        build_sieve(5000)
-    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "6000")
-    assert build_sieve(5000).limit == 5000
-
-
 def robin_s_bound(n):
     # s(n) = sigma(n) - n < n (e**gamma ln ln n + 0.6483 / ln ln n) - n for n >= 3
     # (Robin, J. Math. Pures Appl. 63, 1984); increasing in n from n = 7 up
@@ -227,12 +225,21 @@ def test_default_budget_is_where_robins_bound_leaves_4_bytes():
 
 
 @pytest.mark.parametrize("array", [False, True])
-def test_a_limit_past_the_exactness_cap_is_refused_whatever_the_budget(monkeypatch, array):
-    # checked before anything is allocated; the variable can only lower the cap
+def test_a_limit_past_the_exactness_cap_is_refused_before_allocating(array):
     assert amicable.divisor.DEFAULT_SIEVE_BUDGET == 932_277_513
-    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", str(2**40))
-    with pytest.raises(LimitTooLarge, match="932277514 entries exceeds the budget of 932277513, the exactness cap"):
-        build_sieve(932_277_513, array=array)
+    refused_before_allocating(
+        lambda: build_sieve(932_277_513, array=array),
+        match="932277514 entries exceeds the budget of 932277513, the exactness cap of 4-byte entries$",
+    )
+
+
+@pytest.mark.parametrize("array", [False, True])
+def test_the_environment_does_not_bound_the_table(monkeypatch, array):
+    # the cap is the only bound on a table, and the library reads no environment variable
+    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "100")
+    assert len(build_sieve(5000, array=array).s_values) == 5001
+    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "abc")
+    assert search_amicable(300).pairs == ((220, 284),)
 
 
 def test_step_counts_and_workers_must_be_integers():

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from math import gcd, isqrt
 
 import pytest
@@ -229,7 +230,7 @@ def test_search_engines_agree_at_20000(monkeypatch, search):
         assert all(type(x) is int for pair in report.pairs for x in pair)
 
 
-def test_search_rejects_tiny_limits_and_bad_method(monkeypatch):
+def test_search_rejects_tiny_limits_and_bad_method():
     with pytest.raises(BadParameter):
         search_amicable(1)
     with pytest.raises(BadParameter):
@@ -237,11 +238,16 @@ def test_search_rejects_tiny_limits_and_bad_method(monkeypatch):
     for search in (search_amicable, search_betrothed):
         with pytest.raises(TypeError):
             search(100, method="direct")  # the direct route is gone
-    # the search table is held to the sieve budget, and worker counts are
-    # checked before any table is built
-    monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "100")
-    with pytest.raises(LimitTooLarge):
-        search_amicable(1000)
+    # the search table is held to the exactness cap, refused before it is
+    # allocated, and worker counts are checked before any table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitTooLarge, match="the exactness cap of 4-byte entries"):
+            search_amicable(932_277_513)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     for workers in (0, -1):
         with pytest.raises(BadParameter, match="at least one worker"):
             search_amicable(1000, parallel=True, workers=workers)
