@@ -305,7 +305,8 @@ def export_report(report, fmt: str = "json") -> bytes:
         writer.writerow(["m", "n", "kind", "gcd", "parity"])
         for m, n in rows:
             kind = report.kind.value if isinstance(report, PairVerdict) else _pair_kind(m, n)
-            writer.writerow([m, n, kind, gcd(m, n), _parity(m, n)])
+            # the digits, also of a bool member, as the JSON encoder writes them
+            writer.writerow(["%d" % m, "%d" % n, kind, gcd(m, n), _parity(m, n)])
         return buf.getvalue().encode()
     raise UnsupportedFormat(f"unknown format {fmt!r}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .divisor import _TYPECODE, SieveTable, aliquot_s, build_sieve
-from .errors import BadParameter, VerificationFailed
+from .errors import VerificationFailed, need_int
 
 
 class AliquotOutcome(str, Enum):
@@ -89,12 +89,9 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
     Each step is `SieveTable.s` on a two-slot table, which strips the primes
     below 1000 and factorizes only a rough cofactor.
     """
-    if not isinstance(start, int) or start < 1:
-        raise BadParameter("aliquot sequences start at an integer of 1 or above")
-    if not isinstance(max_steps, int) or max_steps < 1:
-        raise BadParameter("max_steps must be at least 1")
-    if not isinstance(ceiling, int) or ceiling < start:
-        raise BadParameter("ceiling must not be below the starting value")
+    need_int(start, 1, "aliquot sequences start at an integer of 1 or above")
+    need_int(max_steps, 1, "max_steps must be at least 1")
+    need_int(ceiling, start, "ceiling must not be below the starting value")
     trajectory, outcome, entry = _walk(
         start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS, frozenset()
     )
@@ -122,8 +119,8 @@ def verify_cycle(members: list[int] | tuple[int, ...]) -> CycleCheck:
     A negative or non-integer member raises BadParameter before any verdict.
     """
     members = tuple(members)
-    if not all(isinstance(v, int) and v >= 0 for v in members):
-        raise BadParameter("verify_cycle expects nonnegative integer members")
+    for v in members:
+        need_int(v, 0, "verify_cycle expects nonnegative integer members")
     if len(members) < 2:
         return CycleCheck(False, "length below 2")
     if any(v == 0 for v in members):
@@ -134,7 +131,7 @@ def verify_cycle(members: list[int] | tuple[int, ...]) -> CycleCheck:
     for i, v in enumerate(members):
         expected = members[(i + 1) % count]
         if aliquot_s(v) != expected:
-            return CycleCheck(False, f"s({v}) != {expected}")
+            return CycleCheck(False, "s(%d) != %d" % (v, expected))  # a bool as digits
     return CycleCheck(True)
 
 
@@ -171,10 +168,8 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     settle in one step: when s(start) is already known, the start is flagged
     at once, as the walk would do after returning [start] with outcome None.
     """
-    if limit < 2:
-        raise BadParameter("cycle search limit must be at least 2")
-    if not isinstance(max_len, int) or max_len < 2:
-        raise BadParameter("cycles have length at least 2")
+    need_int(limit, 2, "cycle search limit must be at least 2")
+    need_int(max_len, 2, "cycles have length at least 2")
 
     table = build_sieve(limit)
     s_values = table.s_values

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd, isqrt, prod
 
-from .errors import BadParameter, LimitTooLarge, ZeroInput
+from .errors import BadParameter, LimitTooLarge, ZeroInput, need_int
 from .numeric import _TRIAL_PRIMES, _sieve_primes, _split_rough, factorize
 
 __all__ = [
@@ -73,8 +73,7 @@ def sigma(n: int) -> int:
 
     Each prime power contributes 1 + p + ... + p**e (`_sigma_of_powers`).
     """
-    if not isinstance(n, int) or n < 0:
-        raise BadParameter("sigma expects a nonnegative integer")
+    need_int(n, 0, "sigma expects a nonnegative integer")
     if n == 0:
         return 0
     return _sigma_of_powers(factorize(n).factors)
@@ -82,8 +81,7 @@ def sigma(n: int) -> int:
 
 def sigma_brute(n: int) -> int:
     """Divisor sum by direct enumeration up to sqrt(n); oracle for `sigma`."""
-    if not isinstance(n, int) or n < 0:
-        raise BadParameter("sigma_brute expects a nonnegative integer")
+    need_int(n, 0, "sigma_brute expects a nonnegative integer")
     if n == 0:
         return 0
     total = 0
@@ -209,8 +207,7 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     from 932277513 up is refused; and BadParameter when limit is not an
     integer of at least 1.
     """
-    if not isinstance(limit, int) or limit < 1:
-        raise BadParameter("sieve limit must be an integer of at least 1")
+    need_int(limit, 1, "sieve limit must be an integer of at least 1")
     if limit + 1 > DEFAULT_SIEVE_BUDGET:
         raise LimitTooLarge(
             f"sieve of {limit + 1} entries exceeds the budget of {DEFAULT_SIEVE_BUDGET},"

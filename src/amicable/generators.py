@@ -25,15 +25,15 @@ from dataclasses import astuple, dataclass
 from math import gcd
 
 from .divisor import sigma, sigma_brute
-from .errors import BadParameter
+from .errors import BadParameter, need_int
 from .numeric import is_prime, prime_test_mode
 from .pairs import PairKind, check_amicable
 
 
 def verify_pair_by_sigma(m: int, n: int) -> bool:
     """True when sigma(m) = sigma(n) = m + n, the amicable-pair criterion."""
-    if m < 1 or n < 1:
-        raise BadParameter("pair members must be positive")
+    need_int(m, 1, "pair members must be positive")
+    need_int(n, 1, "pair members must be positive")
     if m == n:
         raise BadParameter("pair members must be distinct")
     total = m + n
@@ -42,10 +42,8 @@ def verify_pair_by_sigma(m: int, n: int) -> bool:
 
 def _euler_numbers(m: int, n: int) -> tuple[int, int, int, int]:
     """(a, p, q, r) of Euler's rule at integers 1 <= m < n, the one gate of its domain."""
-    if not isinstance(m, int) or m < 1:
-        raise BadParameter("Euler's rule needs m >= 1")
-    if not isinstance(n, int) or m >= n:
-        raise BadParameter("Euler's rule needs m < n")
+    need_int(m, 1, "Euler's rule needs m >= 1")
+    need_int(n, m + 1, "Euler's rule needs m < n")
     a = (1 << (n - m)) + 1
     p = (1 << m) * a - 1
     q = (1 << n) * a - 1
@@ -55,8 +53,8 @@ def _euler_numbers(m: int, n: int) -> tuple[int, int, int, int]:
 
 def _borho_numbers(a: int, u: int, n: int) -> tuple[int, int, int, int]:
     """(t, t**n, p1, p2) of the breeder construction at integers a, u, n >= 1."""
-    if not all(isinstance(v, int) and v >= 1 for v in (a, u, n)):
-        raise BadParameter("the breeder construction needs a, u, n >= 1")
+    for v in (a, u, n):
+        need_int(v, 1, "the breeder construction needs a, u, n >= 1")
     t = u + sigma(u)
     tn = t**n
     p1 = tn * (u + 1) - 1
@@ -80,8 +78,7 @@ class ThabitCandidate:
 
 def thabit_candidate(k: int) -> ThabitCandidate:
     """Evaluate the doubling rule at shift k >= 1: Euler's rule at (k, k + 1)."""
-    if not isinstance(k, int) or k < 1:
-        raise BadParameter("the doubling rule needs k >= 1")
+    need_int(k, 1, "the doubling rule needs k >= 1")
     c = euler_candidate(k, k + 1)
     return ThabitCandidate(
         k, c.p, c.q, c.r, c.p_prime, c.q_prime, c.r_prime, c.primality_mode, c.pair, c.verified
@@ -186,8 +183,7 @@ def borho_candidate(a: int, u: int, n: int) -> BorhoCandidate:
 
 def thabit_identity_check(k: int) -> bool:
     """Exact check of (p + 1)(q + 1) = r + 1 for the doubling rule at k."""
-    if not isinstance(k, int) or k < 1:
-        raise BadParameter("the doubling rule needs k >= 1")
+    need_int(k, 1, "the doubling rule needs k >= 1")
     return euler_identity_check(k, k + 1)
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
-from .errors import BadParameter, FactorBudgetExceeded, ZeroInput
+from .errors import FactorBudgetExceeded, ZeroInput, need_int
 
 __all__ = [
     "gcd",
@@ -172,8 +172,7 @@ def is_prime(n: int) -> bool:
     verdict is formally probabilistic, which callers can surface via
     `prime_test_mode`. A non-integer n raises BadParameter.
     """
-    if not isinstance(n, int):
-        raise BadParameter(f"is_prime expects an integer, got {type(n).__name__}")
+    need_int(n, None, "is_prime expects an integer")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -202,8 +201,7 @@ def is_prime(n: int) -> bool:
 
 def prime_test_mode(n: int) -> str:
     """'deterministic' when `is_prime(n)` is a proof, 'probabilistic' otherwise."""
-    if not isinstance(n, int):
-        raise BadParameter(f"prime_test_mode expects an integer, got {type(n).__name__}")
+    need_int(n, None, "prime_test_mode expects an integer")
     return "deterministic" if n < PRIME_DETERMINISTIC_BOUND else "probabilistic"
 
 
@@ -343,14 +341,11 @@ def factorize(n: int) -> Factorization:
     remains goes to `_split_rough`, which splits composite pieces by the
     staged gcds, then Fermat's method, then Brent's rho until every piece
     passes `is_prime`.
-    Raises ZeroInput for n = 0, BadParameter for negative n, and
-    FactorBudgetExceeded when one piece needs more than `_RHO_BUDGET` rho
+    Raises ZeroInput for n = 0, BadParameter for a negative or non-integer n,
+    and FactorBudgetExceeded when one piece needs more than `_RHO_BUDGET` rho
     steps.
     """
-    if not isinstance(n, int):
-        raise BadParameter(f"factorize expects an integer, got {type(n).__name__}")
-    if n < 0:
-        raise BadParameter("factorize expects a nonnegative integer")
+    need_int(n, 0, "factorize expects a nonnegative integer")
     if n == 0:
         raise ZeroInput("0 has no prime factorization")
     counts: dict[int, int] = {}

@@ -18,7 +18,7 @@ from enum import Enum
 from math import gcd
 
 from .divisor import _CHUNK, SieveTable, _array_s, aliquot_s, build_sieve, sigma_brute
-from .errors import BadParameter, VerificationFailed
+from .errors import VerificationFailed, need_int
 
 
 class PairKind(str, Enum):
@@ -191,10 +191,9 @@ def _run_scan(limit, table, shift, parallel, workers):
 
 
 def _search(limit, shift, parallel=False, workers=None) -> SearchReport:
-    if limit < 2:
-        raise BadParameter("search limit must be at least 2")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise BadParameter("a parallel search needs at least one worker")
+    need_int(limit, 2, "search limit must be at least 2")
+    if workers is not None:
+        need_int(workers, 1, "a parallel search needs at least one worker")
     table = build_sieve(limit, array=True)
     pairs = sorted(_run_scan(limit, table, shift, parallel, workers))
     for m, n in pairs:

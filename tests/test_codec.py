@@ -27,7 +27,6 @@ from amicable import (
     SociableCycle,
     ThabitCandidate,
     UnsupportedFormat,
-    aliquot_sequence,
     build_sieve,
     borho_candidate,
     candidate_from_json,
@@ -35,7 +34,6 @@ from amicable import (
     export_report,
     factorize,
     from_json,
-    thabit_candidate,
     to_jsonable,
 )
 
@@ -139,14 +137,6 @@ def test_shape_follows_the_field_type_not_the_value():
         b'{"limit":"300","pairs":[{"m":"220","n":"284"}],"all_even":true,'
         b'"min_gcd":"4","oracle":"Sieve"}'
     )
-
-
-def test_a_bool_past_an_integer_gate_exports_its_digits():
-    # bool is an int, so True passes the gates; str(True) wrote "True", which no decoder reads
-    assert export_report(thabit_candidate(True)).startswith(b'{"rule":"thabit","k":"1",')
-    result = from_json(export_report(aliquot_sequence(True, 3)), AliquotResult)
-    assert result == aliquot_sequence(1, 3)
-    assert type(result.start) is int
 
 
 def test_plain_payloads_encode_by_value():

@@ -167,7 +167,7 @@ def test_build_sieve_rejects_bad_limits():
 )
 def test_float_limit_or_start_is_a_bad_parameter(call):
     # a float is refused up front, not by numpy or array('I') deep inside the fill
-    with pytest.raises(BadParameter, match="integer"):
+    with pytest.raises(BadParameter, match=", got float$"):
         call()
 
 
@@ -240,16 +240,6 @@ def test_the_environment_does_not_bound_the_table(monkeypatch, array):
     assert len(build_sieve(5000, array=array).s_values) == 5001
     monkeypatch.setenv("AMICABLE_SIEVE_BUDGET", "abc")
     assert search_amicable(300).pairs == ((220, 284),)
-
-
-def test_step_counts_and_workers_must_be_integers():
-    # each passed its range check and raised a bare TypeError inside the walk or the pool
-    with pytest.raises(BadParameter):
-        find_cycles(10**4, 30.5)
-    with pytest.raises(BadParameter):
-        aliquot_sequence(276, 10.5)
-    with pytest.raises(BadParameter):
-        search_amicable(10**4, parallel=True, workers=1.5)
 
 
 def additive_sieve(limit):
