@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .divisor import _TYPECODE, SieveTable, aliquot_s, build_sieve
-from .errors import VerificationFailed, need_int
+from .errors import BadParameter, VerificationFailed, need_int
 
 
 class AliquotOutcome(str, Enum):
@@ -116,9 +116,14 @@ def verify_cycle(members: list[int] | tuple[int, ...]) -> CycleCheck:
 
     Length at least two, all members nonzero, no repeats, and s maps each
     member to the next with wraparound. The verdict is truthy on success.
-    A negative or non-integer member raises BadParameter before any verdict.
+    A negative or non-integer member, or an argument that is not a sequence
+    of members, raises BadParameter before any verdict.
     """
-    members = tuple(members)
+    try:
+        members = tuple(members)
+    except TypeError:
+        kind = type(members).__name__
+        raise BadParameter(f"verify_cycle expects a sequence of members, got {kind}") from None
     for v in members:
         need_int(v, 0, "verify_cycle expects nonnegative integer members")
     if len(members) < 2:

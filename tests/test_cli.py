@@ -1,4 +1,11 @@
-"""End-to-end command-line checks through the argparse entry point."""
+"""End-to-end command-line checks through the argparse entry point.
+
+The golden corpus (`test_cli_golden.py`) holds argv -> exit code and stdout.
+These tests keep what it cannot hold: stderr bytes, faults monkeypatched into
+the library, the environment, where argparse takes an option, determinism
+across runs, `python -m amicable`, and invocations the corpus lacks. A test
+that only repeats corpus entries is a candidate for deletion.
+"""
 
 import json
 import subprocess
@@ -24,30 +31,18 @@ def test_sigma_text_and_json(capsys):
 
 
 def test_s_command(capsys):
-    code, out, _ = invoke(capsys, "s", "220")
-    assert (code, out) == (0, "284\n")
     code, out, _ = invoke(capsys, "s", "1")
     assert (code, out) == (0, "0\n")
 
 
 def test_classify_command(capsys):
-    code, out, _ = invoke(capsys, "classify", "12")
-    assert (code, out) == (0, "Abundant\n")
     code, out, _ = invoke(capsys, "classify", "12", "--format", "json")
     assert (code, out) == (0, '{"tag":"Abundant","n":"12","s_value":"16"}\n')
-    code, out, _ = invoke(capsys, "classify", "7")
-    assert (code, out) == (0, "Deficient\n")
     code, out, _ = invoke(capsys, "classify", "28")
     assert (code, out) == (0, "Perfect\n")
 
 
 def test_check_pair_exit_codes(capsys):
-    code, out, _ = invoke(capsys, "check-pair", "220", "284")
-    assert (code, out) == (0, "Amicable\n")
-    code, out, _ = invoke(capsys, "check-pair", "220", "285")
-    assert (code, out) == (1, "Neither\n")
-    code, out, _ = invoke(capsys, "check-pair", "48", "75", "--betrothed")
-    assert (code, out) == (0, "Betrothed\n")
     # a true amicable pair still fails the betrothed check
     code, _, _ = invoke(capsys, "check-pair", "220", "284", "--betrothed")
     assert code == 1
@@ -111,8 +106,6 @@ def test_output_is_deterministic_across_runs(capsys):
 
 
 def test_aliquot_outputs(capsys):
-    code, out, _ = invoke(capsys, "aliquot", "12")
-    assert (code, out) == (0, "12 16 15 9 4 3 1 0\noutcome: ReachedZero\n")
     code, out, _ = invoke(capsys, "aliquot", "220")
     assert (code, out) == (0, "220 284\noutcome: EnteredCycle [220 284] entry=0\n")
     code, out, _ = invoke(capsys, "aliquot", "30", "--max-steps", "3")
@@ -142,8 +135,6 @@ def test_cycles_command(capsys):
 def test_cycle_verify(capsys):
     code, out, _ = invoke(capsys, "cycle-verify", "12496,14288,15472,14536,14264")
     assert (code, out) == (0, "valid cycle of length 5\n")
-    code, out, _ = invoke(capsys, "cycle-verify", "12496,14288")
-    assert (code, out) == (1, "not a cycle: s(14288) != 12496\n")
     code, out, _ = invoke(capsys, "cycle-verify", "220,284", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"members": ["220", "284"], "ok": True, "failure": None}
@@ -240,8 +231,6 @@ def test_verify_known_json(capsys):
 
 
 def test_audit_command(capsys):
-    code, out, _ = invoke(capsys, "audit", "--max", "1300")
-    assert (code, out) == (0, "pairs=2 all_even=true min_gcd=2 coprime_found=false\n")
     code, out, _ = invoke(capsys, "audit", "--max", "1300", "--format", "json")
     assert code == 0
     assert json.loads(out) == {
@@ -255,9 +244,6 @@ def test_audit_command(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "nonsense")[0] == 2
-    assert invoke(capsys, "sigma", "-5")[0] == 2
-    assert invoke(capsys, "search")[0] == 2
-    assert invoke(capsys, "generate", "thabit")[0] == 2
 
 
 def test_domain_errors_exit_two_with_message(capsys):

@@ -231,10 +231,7 @@ def test_search_engines_agree_at_20000(monkeypatch, search):
 
 
 def test_search_rejects_tiny_limits_and_bad_method():
-    with pytest.raises(BadParameter):
-        search_amicable(1)
-    with pytest.raises(BadParameter):
-        search_betrothed(0)
+    # a limit below 2 fails the gate, whose least value test_contract.py pins
     for search in (search_amicable, search_betrothed):
         with pytest.raises(TypeError):
             search(100, method="direct")  # the direct route is gone
