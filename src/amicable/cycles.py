@@ -49,7 +49,9 @@ _UNIT_TABLE = SieveTable(array(_TYPECODE, [0, 0]))
 _NO_STOPS = bytes(2)
 
 
-def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable, stops, stops_past):
+def _walk(
+    start: int, max_steps: int, ceiling: int, table: SieveTable, stops, stops_past, known_next
+):
     """Iterate s from `start`: (trajectory list, outcome, cycle entry index or None).
 
     The one loop over s, shared by `aliquot_sequence` and `find_cycles`. The
@@ -58,14 +60,16 @@ def _walk(start: int, max_steps: int, ceiling: int, table: SieveTable, stops, st
     `stops_past` a set of values past table.limit: when the next value has a
     nonzero slot or, past the table, is in the set, the walk returns at once
     with outcome None, leaving that value off the list. `start` itself is
-    never tested.
+    never tested. `known_next` maps values past table.limit to their s-value;
+    the walk reads it before calling `table.s` and never writes to it.
     """
     s_values, limit, lookup = table.s_values, table.limit, table.s
     path = [start]
     index = {start: 0}
     current = start
     for _ in range(max_steps):
-        nxt = s_values[current] if current <= limit else lookup(current)
+        # past the table s(n) >= 1, so `or` falls through to table.s only on a miss
+        nxt = s_values[current] if current <= limit else known_next.get(current) or lookup(current)
         if nxt == current:
             return path, AliquotOutcome.FIXED_POINT, None
         if nxt == 0:
@@ -93,7 +97,7 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
     need_int(max_steps, 1, "max_steps must be at least 1")
     need_int(ceiling, start, "ceiling must not be below the starting value")
     trajectory, outcome, entry = _walk(
-        start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS, frozenset()
+        start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS, frozenset(), {}
     )
     fixed = trajectory[-1] if outcome is AliquotOutcome.FIXED_POINT else None
     cycle = None if entry is None else tuple(trajectory[entry:])
@@ -172,6 +176,12 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     nothing about other budgets, so its values stay unknown. Most starts
     settle in one step: when s(start) is already known, the start is flagged
     at once, as the walk would do after returning [start] with outcome None.
+
+    A walk that ran out of steps still leaves facts behind: each of its
+    values past the table, but its last, is mapped to the next value on its
+    path, and later walks read that map before `SieveTable.s`. The map
+    changes no walk's path or outcome, only where its successors come from,
+    so each value past the table is looked up once.
     """
     need_int(limit, 2, "cycle search limit must be at least 2")
     need_int(max_len, 2, "cycles have length at least 2")
@@ -182,6 +192,7 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     found: set[tuple[int, ...]] = set()
     dead = bytearray(limit + 1)
     dead_past: set[int] = set()
+    next_past: dict[int, int] = {}
     for start in range(2, limit + 1):
         if dead[start]:
             continue
@@ -190,11 +201,16 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
         if dead[nxt] if nxt <= limit else nxt in dead_past:
             dead[start] = 1
             continue
-        path, outcome, entry = _walk(start, max_len, bound, table, dead, dead_past)
+        path, outcome, entry = _walk(start, max_len, bound, table, dead, dead_past, next_past)
         if entry is not None:
             # a fixed point has no entry, so the cycle has at least two members
             found.add(_canonical(path[entry:]))
-        if outcome is not AliquotOutcome.STEPS_EXHAUSTED:
+        if outcome is AliquotOutcome.STEPS_EXHAUSTED:
+            # the last value's successor was never computed
+            for value, successor in zip(path, path[1:]):
+                if value > limit:
+                    next_past[value] = successor
+        else:
             for value in path:
                 if value <= limit:
                     dead[value] = 1

@@ -21,7 +21,9 @@ shift instead of computing s(n): the same split on int64 arrays, the power of
 sigma dividing the target, until the rest fits the table or must be a prime,
 or a bound on sigma of the rest shows that the target is out of reach.
 `find_cycles` keeps a set of the values past its table whose walk's end is
-known, so walks that share a stretch past the table stop where it begins.
+known, so walks that share a stretch past the table stop where it begins, and
+a map from each value past the table on a walk that ran out of steps to its
+successor, so it looks up each value past the table once.
 `sigma`, `aliquot_s` and `factorize` keep plain trial division, an independent
 route. Searches re-verify their hits through the brute route and cycles
 through `aliquot_s`, so a defect in one path cannot silently corrupt results.
@@ -121,10 +123,11 @@ class SieveTable:
     scalar s-value engine: the `array('I')` search scan calls it for each
     partner past the table, while the numpy scan tests sigma(n) = m + n +
     shift for those partners in arrays with `_array_s`, by the same split and
-    without computing s(n). `find_cycles`
-    keeps, beside the table, a set of the values past it whose walk's end is
-    known. The limit is the storage's last index, len(s_values) - 1, so a
-    storage of fewer than two slots raises BadParameter: `s` reads
+    without computing s(n). `find_cycles` keeps, beside the table, a set of
+    the values past it whose walk's end is known, and a map to their s-values
+    from the values past it on walks that ran out of steps, so it calls `s`
+    once per value. The limit is the storage's last index, len(s_values) - 1,
+    so a storage of fewer than two slots raises BadParameter: `s` reads
     sigma(1) = 1 from slot 1.
     """
 

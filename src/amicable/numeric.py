@@ -333,7 +333,6 @@ def _split_rough(n: int) -> dict[int, int]:
     return counts
 
 
-@lru_cache(maxsize=65536)
 def factorize(n: int) -> Factorization:
     """Canonical factorization of n >= 1.
 
@@ -343,11 +342,19 @@ def factorize(n: int) -> Factorization:
     passes `is_prime`.
     Raises ZeroInput for n = 0, BadParameter for a negative or non-integer n,
     and FactorBudgetExceeded when one piece needs more than `_RHO_BUDGET` rho
-    steps.
+    steps. The gate runs before the cache, so an unhashable n is refused as
+    any other non-integer; `factorize.cache_clear` and `factorize.cache_info`
+    reach the cache behind it.
     """
     need_int(n, 0, "factorize expects a nonnegative integer")
     if n == 0:
         raise ZeroInput("0 has no prime factorization")
+    return _factorize(n)
+
+
+@lru_cache(maxsize=65536)
+def _factorize(n: int) -> Factorization:
+    """`factorize` of an int n >= 1 that has passed its gate."""
     counts: dict[int, int] = {}
     rem = n
     for p in _TRIAL_PRIMES:
@@ -358,3 +365,7 @@ def factorize(n: int) -> Factorization:
             rem //= p
     counts.update(_split_rough(rem))  # rem has no prime already in counts
     return Factorization(tuple(sorted(counts.items())), n)
+
+
+factorize.cache_clear = _factorize.cache_clear
+factorize.cache_info = _factorize.cache_info

@@ -2,10 +2,11 @@
 
 Each public callable's integer parameters get each hostile value in turn, in
 an otherwise valid call. The policy, one gate in `errors.need_int`: an int
-passes, a bool as the int it is; a float (7.0 and 0.0 included), a str, None
-and a numpy integer raise BadParameter naming the type received. So a non-int
-case raises that, and an int case either raises a ToolkitError or returns what
-the call with int(value) returns, and exports the same bytes.
+passes, a bool as the int it is; a float (7.0 and 0.0 included), a str, None,
+an unhashable list and a numpy integer raise BadParameter naming the type
+received. So a non-int case raises that, and an int case either raises a
+ToolkitError or returns what the call with int(value) returns, and exports the
+same bytes.
 
 Each integer parameter's least value is pinned too: one less raises
 BadParameter, and the least itself passes the gate, so a loosened or
@@ -98,7 +99,7 @@ NO_INTEGERS = {
 OUT_OF_SCOPE = {"gcd"}
 
 VALUES = [
-    True, -1, 2.5, 7.0, 0.0, None, pytest.param("7", id="str"),
+    True, -1, 2.5, 7.0, 0.0, None, pytest.param("7", id="str"), pytest.param([7], id="list"),
     pytest.param(numpy and numpy.int64(7), id="int64",
                  marks=pytest.mark.skipif(numpy is None, reason="numpy does not import")),
 ]
