@@ -194,6 +194,8 @@ def _encode(value, hint) -> object:
     if shape == "pair":
         return {"m": "%d" % value[0], "n": "%d" % value[1]}
     if shape in ("tuple", "list"):
+        if arg is int:
+            return ["%d" % item for item in value]  # the "int" shape's digits, without a call per item
         return [_encode(item, arg) for item in value]
     if shape == "record":
         rule, fields = _fields(arg)

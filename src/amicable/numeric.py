@@ -1,23 +1,27 @@
 """Integer primitives: gcd, primality, and factorization.
 
 All functions work on Python's native arbitrary-precision integers, so there
-is no overflow to worry about anywhere in the package. Primality testing is
-deterministic below 2**64 (Miller-Rabin with as many of the first twelve prime
-bases as the size of n needs) and switches to a Baillie-PSW style combination
-(all twelve bases plus a strong Lucas test) above that bound;
-`prime_test_mode` reports which regime applies to a value.
+is no overflow to worry about anywhere in the package. Primality testing
+takes one gcd with the product of the primes up to 37, then runs
+Miller-Rabin. It is deterministic below 2**64, where the bases come from a
+table of proven sets by the size of n (one to four below 1.1 * 10**12, nine
+or twelve near 2**64), and switches to a Baillie-PSW style combination (all
+twelve bases plus a strong Lucas test) above that bound; `prime_test_mode`
+reports which regime applies to a value.
 
 Factorization trial-divides by the primes below 1000, then splits the rough
 cofactor: composite pieces meet staged gcds with the products of the primes
 in (1000, 2**12), (2**12, 2**14) and (2**14, 2**16), and only what those
 cannot split meets Fermat's method on 2**j * n once, and only what that
-cannot split goes to Brent's rho. Rho has a step budget per number, so a
-cofactor with two large prime factors raises FactorBudgetExceeded instead of
-running without end.
+cannot split goes to Brent's rho. Rho reduces its product of differences
+once per four steps, and has a step budget per number, so a cofactor with
+two large prime factors raises FactorBudgetExceeded instead of running
+without end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -42,21 +46,31 @@ PRIME_DETERMINISTIC_BOUND = 1 << 64
 # comfortably covering the full 64-bit range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime
-# bases, those k bases decide primality (Pomerance, Selfridge and Wagstaff,
-# Math. Comp. 35 (1980); Jaeschke, Math. Comp. 61 (1993)). psi_7 = psi_8 and
-# psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases never pay; from psi_9 up all
-# twelve run.
+# Rows (bound, bases): below the bound, Miller-Rabin with those bases decides
+# primality, and the bound is a composite that passes all of them. Most rows
+# run the first k prime bases below psi_k, the least strong pseudoprime to all
+# k (Pomerance, Selfridge and Wagstaff, Math. Comp. 35 (1980); Jaeschke, Math.
+# Comp. 61 (1993)). Three rows take Jaeschke's proven shorter sets instead:
+# {31, 73} below 9,080,191, {2, 7, 61} below 4,759,123,141 and
+# {2, 13, 23, 1662803} below 1,122,004,669,633, so each row runs more bases
+# than the row before it and no n below 2**40 needs more than four. psi_7 =
+# psi_8 and psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases never pay; from
+# psi_9 up all twelve run.
 _MR_TIERS = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
+    (2047, (2,)),
+    (9080191, (31, 73)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, _MR_BASES[:5]),
+    (3474749660383, _MR_BASES[:6]),
+    (341550071728321, _MR_BASES[:7]),
+    (3825123056546413051, _MR_BASES[:9]),
 )
+_TIER_BOUNDS = tuple(bound for bound, _ in _MR_TIERS)
+_TIER_BASES = tuple(bases for _, bases in _MR_TIERS) + (_MR_BASES,)
+
+# n shares a factor with this product exactly when some base in _MR_BASES divides it
+_MR_BASES_PRODUCT = prod(_MR_BASES)
 
 
 def _sieve_primes(limit: int) -> tuple[int, ...]:
@@ -165,33 +179,26 @@ def _strong_lucas_prp(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test for nonnegative integers.
 
-    Deterministic for n < 2**64: Miller-Rabin with the first k prime bases,
-    k chosen from n by `_MR_TIERS` (four bases below 3.2 * 10**9, all twelve
-    from 3.8 * 10**18). Larger inputs get all twelve rounds plus a strong
-    Lucas test; no counterexample to that combination is known, but the
-    verdict is formally probabilistic, which callers can surface via
-    `prime_test_mode`. A non-integer n raises BadParameter.
+    One gcd with 2 * 3 * ... * 37 first, then Miller-Rabin. Deterministic for
+    n < 2**64: the bases come from the row of `_MR_TIERS` that n falls below,
+    at most four of them below 1.1 * 10**12, all twelve from 3.8 * 10**18.
+    Larger inputs get all twelve rounds plus a strong Lucas test; no
+    counterexample to that combination is known, but the verdict is formally
+    probabilistic, which callers can surface via `prime_test_mode`. A
+    non-integer n raises BadParameter.
     """
     need_int(n, None, "is_prime expects an integer")
-    if n < 2:
+    if n < 38:
+        return n in _MR_BASES
+    if gcd(n, _MR_BASES_PRODUCT) != 1:
         return False
-    for p in _MR_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < 37 * 37:
-        # no factor <= 37 and below 37**2, hence prime
+    if n < 41 * 41:
+        # no prime factor up to 37 and below the square of the next prime
         return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    bases = _MR_BASES
-    for bound, k in _MR_TIERS:
-        if n < bound:
-            bases = _MR_BASES[:k]
-            break
-    for a in bases:
+    for a in _TIER_BASES[bisect_right(_TIER_BOUNDS, n)]:
         if _mr_composite_witness(a, d, s, n):
             return False
     if n < PRIME_DETERMINISTIC_BOUND:
@@ -253,6 +260,14 @@ def _brent_factor(n: int) -> int:
     `_RHO_BUDGET`. So no step pays for the check, and rho passes the budget
     by at most the one batch a degenerate round replays. When a round does
     not fit, FactorBudgetExceeded names n.
+
+    Both phases take four steps per loop pass, and a batch multiplies four
+    differences x - y into q before one reduction mod n, on top of the one
+    product per batch that Brent (BIT 20, 1980) already takes; a round of r
+    = 1 or 2 steps runs one step at a time. The y sequence is unchanged, and
+    q mod n at each gcd is the same residue as when every step reduces it,
+    so every gcd, the factor returned, the steps counted and the round at
+    which the budget stops rho are those of the one-step loop.
     """
     budget = _RHO_BUDGET
     spent = 0
@@ -265,12 +280,24 @@ def _brent_factor(n: int) -> int:
             if spent + 2 * r > budget:
                 raise FactorBudgetExceeded(f"no factor of {n} found in {budget} Brent rho steps")
             x = y
-            for _ in range(r):
+            for _ in range(r >> 2):
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+            for _ in range(r & 3):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                batch = min(m, r - k)
+                for _ in range(batch >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(batch & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)

@@ -54,11 +54,6 @@ def test_sigma_frozen_examples():
     assert sigma(360) == 1170
 
 
-def test_sigma_rejects_negative():
-    with pytest.raises(BadParameter):
-        sigma(-1)
-
-
 def test_sigma_brute_matches_examples():
     assert sigma_brute(12) == 28
     assert sigma_brute(71) == 72

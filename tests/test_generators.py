@@ -54,13 +54,6 @@ def test_thabit_sweep_to_9_verifies_exactly_1_3_6():
     assert verified == {1, 3, 6}
 
 
-def test_thabit_rejects_k_zero():
-    with pytest.raises(BadParameter):
-        thabit_candidate(0)
-    with pytest.raises(BadParameter):
-        thabit_identity_check(0)
-
-
 def test_thabit_identity_holds_through_64():
     for k in range(1, 65):
         assert thabit_identity_check(k)

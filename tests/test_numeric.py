@@ -120,20 +120,39 @@ def test_is_prime_strong_pseudoprimes_rejected():
     assert 318665857834031151167461 == 399165290221 * 798330580441
 
 
+# Jaeschke's shorter base sets (Math. Comp. 61 (1993)), each with the least composite
+# that passes all of its bases: 2131 * 4261, 48781 * 97561 and 611557 * 1834669.
+JAESCHKE_SETS = (
+    (9080191, (31, 73)), (4759123141, (2, 7, 61)), (1122004669633, (2, 13, 23, 1662803)),
+)
+TIER_BOUNDS = sorted([n for n, _ in LEAST_STRONG_PSEUDOPRIMES] + [n for n, _ in JAESCHKE_SETS])
+
+
 def test_is_prime_tier_table_follows_the_pseudoprimes():
-    # below each least strong pseudoprime, one base more than the previous one passes
-    passes_before = [0] + [k for _, k in LEAST_STRONG_PSEUDOPRIMES[:-1]]
-    tiers = tuple((n, k + 1) for (n, _), k in zip(LEAST_STRONG_PSEUDOPRIMES, passes_before))
-    assert amicable.numeric._MR_TIERS == tiers
+    tiers = amicable.numeric._MR_TIERS
+    # each bound is composite and passes every base of its row, so the row can reach no further
+    for bound, bases in tiers:
+        assert not sympy.isprime(bound), bound
+        assert all(strong_probable_prime(bound, a) for a in bases), (bound, bases)
+    # the bounds increase and so do the base counts, so no later row covers one with as few bases
+    assert all(lo < hi for (lo, _), (hi, _) in zip(tiers, tiers[1:]))
+    assert all(len(lo) < len(hi) for (_, lo), (_, hi) in zip(tiers, tiers[1:]))
+    # a row is one of Jaeschke's sets, or the first k prime bases up to the least strong
+    # pseudoprime to them
+    for bound, bases in tiers:
+        k = len(bases)
+        assert (bound, bases) in JAESCHKE_SETS or (
+            bases == MR_BASES[:k] and bound == next(n for n, j in LEAST_STRONG_PSEUDOPRIMES if j >= k)
+        ), (bound, bases)
+    # the last bound passes eleven bases, so all twelve run from it up to 2**64
     assert amicable.numeric._MR_BASES == MR_BASES
-    # the last one passes eleven bases, so all twelve run from it up to 2**64
+    assert tiers[-1][0] == LEAST_STRONG_PSEUDOPRIMES[-1][0]
     assert LEAST_STRONG_PSEUDOPRIMES[-1][1] + 1 == len(MR_BASES)
 
 
 def test_is_prime_matches_sympy_in_every_tier():
     rng = random.Random(20260)
-    bounds = [n for n, _ in LEAST_STRONG_PSEUDOPRIMES]
-    for lo, hi in zip([37 * 37] + bounds, bounds + [2**64, 2**80]):
+    for lo, hi in zip([37 * 37] + TIER_BOUNDS, TIER_BOUNDS + [2**64, 2**80]):
         for _ in range(300):
             n = rng.randrange(lo, hi) | 1
             assert is_prime(n) == sympy.isprime(n), n
@@ -145,7 +164,7 @@ def test_is_prime_matches_sympy_in_every_tier():
 
 
 def test_is_prime_matches_sympy_around_each_tier_bound():
-    for bound, _ in LEAST_STRONG_PSEUDOPRIMES:
+    for bound in TIER_BOUNDS:
         for n in range(bound - 4, bound + 5, 2):
             assert is_prime(n) == sympy.isprime(n), n
 
@@ -269,6 +288,77 @@ def test_rho_sees_only_pieces_the_stages_cannot_split(monkeypatch):
     assert len(seen) >= 10
     for v in seen:
         assert all(gcd(product, v) in (1, v) for product in STAGE_PRODUCTS), v
+
+
+def one_step_brent(n, budget):
+    """Brent rho with q reduced after every step: the reference `_brent_factor` must match.
+
+    Returns the factor (None where the budget stops it), the least budget under
+    which it returns, the r of its last round, whether it replayed a batch, and
+    its last polynomial constant.
+    """
+    spent, need, c, replayed = 0, 0, 1, False
+    while True:
+        y, r, q = 2, 1, 1
+        g, ys, x = 1, y, y
+        m = 128
+        while g == 1:
+            need = max(need, spent + 2 * r)
+            if spent + 2 * r > budget:
+                return None, need, r, replayed, c
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += m
+            spent += r + min(k, r)
+            r <<= 1
+        if g != n:
+            return g, need, r >> 1, replayed, c
+        replayed = True
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(x - ys, n)
+            spent += 1
+        if g != n:
+            return g, need, r >> 1, replayed, c
+        c += 1
+
+
+def test_batched_rho_matches_the_one_step_loop(monkeypatch):
+    # 21 and 85 split in the rounds r = 1 and r = 2, whose lengths are not multiples of
+    # 4; 49 splits there after a replay and 25 after c is bumped. Then semiprimes whose
+    # least factor has 17-32 bits: 68473 * 95177 replays its last batch, 99487 * 137941
+    # and 17589071 * 18610763 bump c.
+    inputs = [21, 85, 49, 25, 68473 * 95177, 99487 * 137941, 17589071 * 18610763]
+    rng = random.Random(3030)
+    for bits in range(17, 33):
+        p = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+        inputs.append(p * sympy.nextprime(p + rng.randrange(1, 1 << 20)))
+    paths = []
+    for n in inputs:
+        factor, need, r, replayed, c = one_step_brent(n, amicable.numeric._RHO_BUDGET)
+        paths.append((r, replayed, c))
+        assert amicable.numeric._brent_factor(n) == factor, n
+        # the budget stops both loops at the same round: with one step less than the
+        # one-step loop needs, both raise, and with what it needs both return
+        monkeypatch.setattr(amicable.numeric, "_RHO_BUDGET", need - 1)
+        assert one_step_brent(n, need - 1)[0] is None
+        with pytest.raises(FactorBudgetExceeded, match=str(n)):
+            amicable.numeric._brent_factor(n)
+        monkeypatch.setattr(amicable.numeric, "_RHO_BUDGET", need)
+        assert amicable.numeric._brent_factor(n) == factor, n
+        monkeypatch.undo()
+    assert {r for r, _, _ in paths} >= {1, 2, 128, 4096}
+    assert any(replayed and c == 1 for _, replayed, c in paths)
+    assert any(c > 1 for _, _, c in paths)
 
 
 # a 120-bit semiprime whose least factor has 60 bits: rho needs about 2**30 steps on it
