@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .divisor import _CHUNK, SieveTable, _array_s, aliquot_s, build_sieve, sigma_brute
+from .divisor import SieveTable, _array_s, aliquot_s, build_sieve, sigma_brute
 from .errors import VerificationFailed, need_int
+
+# Block size of the numpy scan, so its temporaries stay a few blocks' worth.
+_CHUNK = 1 << 16
 
 
 class PairKind(str, Enum):

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array as stdarray
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,8 @@ from hypothesis import strategies as st
 
 import amicable
 from amicable import SieveTable, aliquot_s, build_sieve, search_amicable, search_betrothed
-from amicable.divisor import _CHUNK, _array_s, _array_sieve
+from amicable.divisor import _array_s, _array_sieve, _segment
+from amicable.pairs import _CHUNK
 
 SRC = str(Path(amicable.__file__).resolve().parent.parent)
 
@@ -50,8 +52,9 @@ def test_array_sieve_equals_stdlib_sieve(limit):
 @needs_numpy
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 211])
 def test_array_sieve_at_the_square_root_boundary(p):
-    # pass 1 writes the least prime factor of each composite up to limit from the
-    # primes up to isqrt(limit); a limit at p*p is the first whose pass 1 takes p
+    # the array fill adds d at the square d*d and d + k at each d*k, k > d, for d
+    # up to isqrt(limit); a limit at p*p is the first whose fill takes d = p, for
+    # its square alone, since p*(p + 1) lies past it
     for limit in (p * p - 1, p * p, p * p + 1):
         expected = build_sieve(limit).s_values.tolist()
         assert build_sieve(limit, array=True).s_values.tolist() == expected
@@ -66,11 +69,12 @@ def test_array_sieve_equals_stdlib_sieve_at_2e5():
 
 @needs_numpy
 def test_array_sieve_is_exact_in_int16():
-    # Store the table in int16 and run the blocks in it too: every sigma(n) up to
-    # 9239 is below 2**15, so every final slot fits. The recurrence divides indices
-    # only, never slot values, so a product that wraps on the way still lands on
-    # s(n) modulo 2**16. So a storage only has to hold the final s-values, which is
-    # what lets the uint32 table reach as far as Robin's bound keeps s below 2**32.
+    # Store the table in int16 and add the divisor pairs in it too: every sigma(n)
+    # up to 9239 is below 2**15, so every final slot fits. Each value a slot holds
+    # on the way is 1 plus some distinct divisors of n below n, so at most s(n),
+    # and no sum needs a wider type than the final one. So a storage only has to
+    # hold the final s-values, which is what lets the uint32 table reach as far as
+    # Robin's bound keeps s below 2**32.
     import numpy
 
     class Int16Numpy:
@@ -85,7 +89,8 @@ def test_array_sieve_is_exact_in_int16():
 
 @needs_numpy
 def test_array_sieve_holds_one_table_and_a_few_blocks():
-    # a 4-byte table and block-sized int64 temporaries; an 8-byte table, or a
+    # a 4-byte table, the isqrt(limit) roots of its squares, and one uint32 slice
+    # of pairs at a time, at most half a segment; an 8-byte table, or a
     # whole-table temporary, would lift the peak past 3/4 of 8 bytes per entry
     import numpy  # noqa: F401  (its import allocates; keep it out of the trace)
 
@@ -96,6 +101,24 @@ def test_array_sieve_holds_one_table_and_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * 8 * (10**6 + 1)
+
+
+@needs_numpy
+def test_array_sieve_equals_stdlib_sieve_at_segment_edges():
+    # the array fill runs over segments of _segment(limit) slots; a limit at k
+    # segments, one below or one above, ends the last one a slot short, full, or
+    # one slot long. One more limit puts a square d*d on the first slot of a
+    # later segment, where d's pairs start at d*(d + 1)
+    import numpy
+
+    seg = _segment(1)
+    limits = [k * seg + delta for k in (1, 2, 3) for delta in (-1, 0, 1)]
+    square = next(k * seg for k in itertools.count(1) if isqrt(k * seg) ** 2 == k * seg)
+    limits.append(square + seg // 2)
+    assert all(_segment(limit) == seg for limit in limits)
+    expected = numpy.asarray(build_sieve(max(limits)).s_values)
+    for limit in limits:
+        assert numpy.array_equal(build_sieve(limit, array=True).s_values, expected[: limit + 1]), limit
 
 
 # sha256 of the table to 10**6 as little-endian int64, the storage of both tables

@@ -1,9 +1,11 @@
 """Re-verification of search and cycle results survives `python -O`.
 
 `-O` strips `assert` statements, so each check must raise on its own. Every
-case runs in a fresh interpreter under `-O` with one oracle replaced by a
-function that always answers 0, and must raise VerificationFailed instead of
-returning results.
+case runs in a fresh interpreter under `-O` with one oracle answering 0, on
+every input or only on one member of the first pair, and must raise
+VerificationFailed instead of returning results. An oracle wrong on one
+member alone fails only the check of that member, so a search that re-checks
+just one of the two is caught.
 """
 
 import os
@@ -22,7 +24,8 @@ import sys
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 import amicable
-setattr(amicable.{module}, "{name}", lambda n: 0)
+real = getattr(amicable.{module}, "{name}")
+setattr(amicable.{module}, "{name}", lambda n: 0 if {wrong} else real(n))
 try:
     result = amicable.{call}
 except amicable.VerificationFailed as exc:
@@ -32,33 +35,40 @@ else:
 """
 
 
+AMICABLE = "oracle disagreement on candidate pair (220, 284)"
+BETROTHED = "oracle disagreement on candidate pair (48, 75)"
+
+
 @pytest.mark.parametrize(
-    "module, name, call, message",
+    "module, name, wrong, call, message",
     [
-        (
-            "pairs",
-            "sigma_brute",
-            "search_amicable(2000)",
-            "oracle disagreement on candidate pair (220, 284)",
-        ),
-        (
-            "pairs",
-            "sigma_brute",
-            "search_betrothed(2000)",
-            "oracle disagreement on candidate pair (48, 75)",
-        ),
+        ("pairs", "sigma_brute", "True", "search_amicable(2000)", AMICABLE),
+        ("pairs", "sigma_brute", "n == 220", "search_amicable(2000)", AMICABLE),
+        ("pairs", "sigma_brute", "n == 284", "search_amicable(2000)", AMICABLE),
+        ("pairs", "sigma_brute", "True", "search_betrothed(2000)", BETROTHED),
+        ("pairs", "sigma_brute", "n == 48", "search_betrothed(2000)", BETROTHED),
+        ("pairs", "sigma_brute", "n == 75", "search_betrothed(2000)", BETROTHED),
         (
             "cycles",
             "aliquot_s",
+            "True",
             "find_cycles(2000, 5)",
             "cycle (220, 284) failed re-verification: s(220) != 284",
         ),
     ],
-    ids=["search_amicable", "search_betrothed", "find_cycles"],
+    ids=[
+        "search_amicable",
+        "search_amicable-smaller",
+        "search_amicable-larger",
+        "search_betrothed",
+        "search_betrothed-smaller",
+        "search_betrothed-larger",
+        "find_cycles",
+    ],
 )
-def test_broken_oracle_raises_under_optimize(module, name, call, message):
+def test_broken_oracle_raises_under_optimize(module, name, wrong, call, message):
     env = {**os.environ, "PYTHONPATH": SRC}
-    script = SCRIPT.format(module=module, name=name, call=call)
+    script = SCRIPT.format(module=module, name=name, wrong=wrong, call=call)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True,
