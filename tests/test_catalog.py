@@ -6,7 +6,6 @@ import random
 import pytest
 
 from amicable import (
-    COPRIME_PRODUCT_SEARCH_BOUND,
     AliquotOutcome,
     AliquotResult,
     EntryKind,
@@ -28,7 +27,6 @@ from amicable import (
     search_amicable,
     search_betrothed,
     thabit_candidate,
-    verify_catalog,
 )
 
 EXPECTED_AMICABLE = [
@@ -51,26 +49,6 @@ def test_catalog_contents_exact():
     assert betrothed == [(48, 75), (140, 195)]
     assert cycles == [(12496, 14288, 15472, 14536, 14264)]
     assert len(entries) == 10
-
-
-def test_catalog_attributions():
-    by_members = {e.members: e.attribution for e in known_catalog()}
-    assert by_members[(220, 284)] == "Pythagoras"
-    assert by_members[(1184, 1210)] == "Paganini"
-    assert by_members[(17296, 18416)] == "Fermat"
-    assert by_members[(9363584, 9437056)] == "Descartes"
-    assert by_members[(12496, 14288, 15472, 14536, 14264)] == "Poulet"
-
-
-def test_catalog_self_test_all_green():
-    results = verify_catalog()
-    assert len(results) == 10
-    assert all(ok for _, ok in results)
-
-
-def test_coprime_bound_is_metadata_only():
-    assert COPRIME_PRODUCT_SEARCH_BOUND == 10**65
-    assert isinstance(COPRIME_PRODUCT_SEARCH_BOUND, int)
 
 
 def test_pair_verdict_json_shape():

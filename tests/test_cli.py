@@ -3,8 +3,9 @@
 The golden corpus (`test_cli_golden.py`) holds argv -> exit code and stdout.
 These tests keep what it cannot hold: stderr bytes, faults monkeypatched into
 the library, the environment, where argparse takes an option, determinism
-across runs, `python -m amicable`, and invocations the corpus lacks. A test
-that only repeats corpus entries is a candidate for deletion.
+across runs, `python -m amicable`, and invocations the corpus lacks. A CLI
+invocation whose stdout is fixed belongs in the corpus, and a behaviour a
+numbered acceptance criterion checks is not repeated here.
 """
 
 import json
@@ -23,13 +24,6 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_sigma_text_and_json(capsys):
-    code, out, _ = invoke(capsys, "sigma", "220")
-    assert (code, out) == (0, "504\n")
-    code, out, _ = invoke(capsys, "sigma", "220", "--format", "json")
-    assert (code, out) == (0, '{"n":"220","sigma":"504"}\n')
-
-
 def test_s_command(capsys):
     code, out, _ = invoke(capsys, "s", "1")
     assert (code, out) == (0, "0\n")
@@ -46,31 +40,6 @@ def test_check_pair_exit_codes(capsys):
     # a true amicable pair still fails the betrothed check
     code, _, _ = invoke(capsys, "check-pair", "220", "284", "--betrothed")
     assert code == 1
-
-
-def test_check_pair_guard_output(capsys):
-    code, out, _ = invoke(capsys, "check-pair", "6", "6")
-    assert code == 1
-    assert out == "Neither\nguards: EqualMembers\n"
-
-
-def test_check_pair_json_round(capsys):
-    code, out, _ = invoke(capsys, "check-pair", "220", "284", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {
-        "m": "220",
-        "n": "284",
-        "kind": "Amicable",
-        "s_m": "284",
-        "s_n": "220",
-        "guard_failures": [],
-    }
-
-
-def test_search_text_output(capsys):
-    code, out, _ = invoke(capsys, "search", "--max", "1300")
-    assert code == 0
-    assert out == "220 284\n1184 1210\npairs=2 all_even=true min_gcd=2 oracle=Sieve\n"
 
 
 def test_search_json_output(capsys):
@@ -127,26 +96,12 @@ def test_aliquot_json(capsys):
     }
 
 
-def test_cycles_command(capsys):
-    code, out, _ = invoke(capsys, "cycles", "--max", "300", "--max-len", "2")
-    assert (code, out) == (0, "220 284\ncycles=1\n")
-
-
 def test_cycle_verify(capsys):
     code, out, _ = invoke(capsys, "cycle-verify", "12496,14288,15472,14536,14264")
     assert (code, out) == (0, "valid cycle of length 5\n")
     code, out, _ = invoke(capsys, "cycle-verify", "220,284", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"members": ["220", "284"], "ok": True, "failure": None}
-
-
-def test_generate_thabit_single(capsys):
-    code, out, _ = invoke(capsys, "generate", "thabit", "--k", "2")
-    assert code == 1
-    assert out == "k=2: p=11 (prime), q=23 (prime), r=287 (composite) -> rejected\n"
-    code, out, _ = invoke(capsys, "generate", "thabit", "--k", "1")
-    assert code == 0
-    assert out == "k=1: p=5 (prime), q=11 (prime), r=71 (prime) -> pair (220, 284) verified\n"
 
 
 def test_generate_thabit_sweep(capsys):
@@ -158,26 +113,6 @@ def test_generate_thabit_sweep(capsys):
         "k=3: p=23 (prime), q=47 (prime), r=1151 (prime) -> pair (17296, 18416) verified",
         "k=4: p=47 (prime), q=95 (composite), r=4607 (composite) -> rejected",
     ]
-
-
-def test_generate_euler(capsys):
-    code, out, _ = invoke(capsys, "generate", "euler", "--m", "1", "--n", "8")
-    assert code == 0
-    assert out == (
-        "m=1 n=8: a=129, p=257 (prime), q=33023 (prime), r=8520191 (prime)"
-        " -> pair (2172649216, 2181168896) verified\n"
-    )
-    code, _, _ = invoke(capsys, "generate", "euler", "--m", "2", "--n", "3")
-    assert code == 1
-
-
-def test_generate_borho(capsys):
-    code, out, _ = invoke(capsys, "generate", "borho", "--a", "3", "--u", "4", "--n", "1")
-    assert code == 1
-    assert out == (
-        "a=3 u=4 n=1: t=11, p1=54, p2=384; "
-        "failed: breeder_amicable, p1_prime, p2_prime, coprime_au_p1, coprime_a_p2 -> rejected\n"
-    )
 
 
 def test_generate_borho_breeds_from_220_284(capsys):
@@ -200,34 +135,6 @@ def test_generate_unverified_pair_is_marked(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "generate", "euler", "--m", "1", "--n", "8")
     assert code == 1
     assert out.endswith(" -> pair (2172649216, 2181168896) NOT verified\n")
-
-
-def test_generate_json(capsys):
-    code, out, _ = invoke(capsys, "generate", "thabit", "--k", "1", "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["rule"] == "thabit"
-    assert data["pair"] == {"m": "220", "n": "284"}
-    assert data["verified"] is True
-
-
-def test_verify_known(capsys):
-    code, out, _ = invoke(capsys, "verify-known")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "ok AmicablePair 220,284 (Pythagoras)"
-    assert lines[-1] == "verified 10/10 entries"
-    assert len(lines) == 11
-    assert all(line.startswith("ok ") for line in lines[:-1])
-
-
-def test_verify_known_json(capsys):
-    code, out, _ = invoke(capsys, "verify-known", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload) == 10
-    assert all(item["ok"] is True for item in payload)
-    assert payload[0]["entry"]["members"] == ["220", "284"]
 
 
 def test_audit_command(capsys):

@@ -12,7 +12,6 @@ from amicable import (
     aliquot_s,
     aliquot_sequence,
     find_cycles,
-    search_amicable,
     verify_cycle,
 )
 
@@ -161,10 +160,10 @@ def test_verify_cycle_rejections_name_first_failure():
     assert not verify_cycle(POULET[::-1]).ok
 
 
-@pytest.mark.parametrize("members", [[-1], [-5, 0], [-5, -5], [-5, 3], 220, None])
-def test_verify_cycle_refuses_a_negative_member_before_any_verdict(members):
-    # a negative member is outside s's domain, however short the list or whatever it holds;
-    # so is a bare int or None where the sequence of members belongs
+@pytest.mark.parametrize("members", [[-1], [-5, 0], [-5, -5], [-5, 3], [1.5], 220, None])
+def test_verify_cycle_refuses_a_negative_or_float_member_or_a_bare_value(members):
+    # a negative or float member is outside s's domain, however short the list or whatever
+    # it holds; so is a bare int or None where the sequence of members belongs
     with pytest.raises(BadParameter):
         verify_cycle(members)
 
@@ -176,11 +175,6 @@ def test_find_cycles_frozen_examples():
     assert cycles[0].length == 2
 
 
-def test_find_cycles_poulet():
-    cycles = find_cycles(13_000, 5)
-    assert POULET in [c.members for c in cycles]
-
-
 def test_find_cycles_canonical_and_deterministic():
     first = find_cycles(1300, 2)
     second = find_cycles(1300, 2)
@@ -189,13 +183,6 @@ def test_find_cycles_canonical_and_deterministic():
         assert c.members[0] == min(c.members)
         assert c.length == len(c.members)
         assert verify_cycle(c.members).ok
-
-
-def test_length_two_cycles_are_exactly_amicable_pairs():
-    limit = 2000
-    as_cycles = {c.members for c in find_cycles(limit, 2)}
-    as_pairs = {pair for pair in search_amicable(limit).pairs}
-    assert as_cycles == as_pairs
 
 
 def cycles_by_aliquot_s(limit, max_len):

@@ -9,7 +9,6 @@ import pytest
 
 from amicable import (
     BadParameter,
-    Classification,
     GuardFailure,
     LimitTooLarge,
     Oracle,
@@ -17,7 +16,6 @@ from amicable import (
     audit,
     check_amicable,
     check_betrothed,
-    classify,
     is_amicable_number,
     search_amicable,
     search_betrothed,
@@ -95,21 +93,6 @@ def test_check_amicable_symmetric():
         assert check_amicable(m, n).kind == check_amicable(n, m).kind
 
 
-def test_amicable_pairs_satisfy_sigma_characterization():
-    from amicable import sigma
-
-    for m, n in [(220, 284), (1184, 1210), (2620, 2924), (5020, 5564), (17296, 18416)]:
-        assert check_amicable(m, n).kind is PairKind.AMICABLE
-        assert sigma(m) == sigma(n) == m + n
-
-
-def test_smaller_member_abundant_larger_deficient():
-    for m, n in search_amicable(20_000).pairs:
-        assert m < n
-        assert classify(m).tag is Classification.ABUNDANT
-        assert classify(n).tag is Classification.DEFICIENT
-
-
 def test_check_betrothed_frozen_examples():
     assert check_betrothed(48, 75).kind is PairKind.BETROTHED
     assert check_betrothed(140, 195).kind is PairKind.BETROTHED
@@ -145,24 +128,6 @@ def test_search_amicable_finds_partner_beyond_limit():
     assert search_amicable(250).pairs == ((220, 284),)
 
 
-def test_search_amicable_20000_contents():
-    report = search_amicable(20_000)
-    assert report.pairs == (
-        (220, 284),
-        (1184, 1210),
-        (2620, 2924),
-        (5020, 5564),
-        (6232, 6368),
-        (10744, 10856),
-        (12285, 14595),
-        (17296, 18416),
-    )
-    assert report.min_gcd == 2
-    # (12285, 14595) is an odd pair, so the parity flag must come out false
-    assert report.all_even is False
-    assert audit(report).coprime_found is False
-
-
 def test_search_amicable_all_even_true_below_12285():
     report = search_amicable(11_000)
     assert report.all_even is True
@@ -179,11 +144,6 @@ def test_search_parallel_matches_serial():
     serial = search_amicable(2500)
     parallel = search_amicable(2500, parallel=True, workers=3)
     assert serial == parallel
-
-
-def test_search_completeness_against_double_loop():
-    # every m < n with m <= limit, checked by enumeration only
-    assert list(search_amicable(2000).pairs) == enumerate_pairs(2000, 0)
 
 
 def test_search_betrothed_frozen_limits():
@@ -203,7 +163,7 @@ def test_search_betrothed_completeness_against_double_loop():
     assert list(search_betrothed(1200).pairs) == enumerate_pairs(1200, 1)
 
 
-def test_search_betrothed_parallel_matches_enumeration():
+def test_search_betrothed_matches_enumeration_and_takes_no_pool_arguments():
     expected = enumerate_pairs(500, 1)
     assert list(search_betrothed(500).pairs) == expected
     # the betrothed search has no pool: only search_amicable takes parallel
@@ -230,7 +190,7 @@ def test_search_engines_agree_at_20000(monkeypatch, search):
         assert all(type(x) is int for pair in report.pairs for x in pair)
 
 
-def test_search_rejects_tiny_limits_and_bad_method():
+def test_search_refuses_the_method_keyword_a_limit_past_the_cap_and_no_workers():
     # a limit below 2 fails the gate, whose least value test_contract.py pins
     for search in (search_amicable, search_betrothed):
         with pytest.raises(TypeError):
