@@ -46,26 +46,34 @@ class AliquotResult:
 # s(0) = s(1) = 0; SieveTable.s splits every larger n into its power of 2, its
 # 1000-smooth odd part and its rough part, and takes sigma of each on its own
 _UNIT_TABLE = SieveTable(array(_TYPECODE, [0, 0]))
-_NO_STOPS = bytes(2)
 
 
 def _walk(
-    start: int, max_steps: int, ceiling: int, table: SieveTable, stops, stops_past, known_next
+    start: int, max_steps: int, ceiling: int, table: SieveTable, flags, stops_past, known_next
 ):
     """Iterate s from `start`: (trajectory list, outcome, cycle entry index or None).
 
     The one loop over s, shared by `aliquot_sequence` and `find_cycles`. The
     list follows `AliquotResult`; values past the table come from `table.s`.
-    `stops` is a bytes-like with one slot per index 0..table.limit, and
-    `stops_past` a set of values past table.limit: when the next value has a
-    nonzero slot or, past the table, is in the set, the walk returns at once
-    with outcome None, leaving that value off the list. `start` itself is
-    never tested. `known_next` maps values past table.limit to their s-value;
-    the walk reads it before calling `table.s` and never writes to it.
+    `flags` is a bytearray with one slot per index 0..table.limit: 0 for a
+    value of unknown end, 1 for a known end, 2 for a value on this walk's
+    own path. The walk writes 2 into the slot of each of its values within
+    the table, `start` included, and leaves them so: the caller resets them.
+    Past the table, `stops_past` is a set of values of known end, and the
+    walk keeps its own values in a set of its own. When the next value is
+    of known end, the walk returns at once with outcome None, leaving that
+    value off the list; when it is on the path, the walk has entered a
+    cycle, found by `path.index`. `start` itself is never tested.
+    `known_next` maps values past table.limit to their s-value; the walk
+    reads it before calling `table.s` and never writes to it.
     """
     s_values, limit, lookup = table.s_values, table.limit, table.s
     path = [start]
-    index = {start: 0}
+    own_past = set()
+    if start <= limit:
+        flags[start] = 2
+    else:
+        own_past.add(start)
     current = start
     for _ in range(max_steps):
         # past the table s(n) >= 1, so `or` falls through to table.s only on a miss
@@ -75,14 +83,22 @@ def _walk(
         if nxt == 0:
             path.append(0)
             return path, AliquotOutcome.REACHED_ZERO, None
-        if stops[nxt] if nxt <= limit else nxt in stops_past:
+        if nxt <= limit:
+            flag = flags[nxt]
+            if flag:
+                if flag == 1:
+                    return path, None, None
+                return path, AliquotOutcome.ENTERED_CYCLE, path.index(nxt)
+            flags[nxt] = 2
+        elif nxt in stops_past:
             return path, None, None
-        if nxt in index:
-            return path, AliquotOutcome.ENTERED_CYCLE, index[nxt]
+        elif nxt in own_past:
+            return path, AliquotOutcome.ENTERED_CYCLE, path.index(nxt)
+        else:
+            own_past.add(nxt)
         path.append(nxt)
         if nxt > ceiling:
             return path, AliquotOutcome.CEILING_EXCEEDED, None
-        index[nxt] = len(path) - 1
         current = nxt
     return path, AliquotOutcome.STEPS_EXHAUSTED, None
 
@@ -91,13 +107,15 @@ def aliquot_sequence(start: int, max_steps: int = 100, ceiling: int = 10**15) ->
     """Iterate s from `start` for at most `max_steps` applications.
 
     Each step is `SieveTable.s` on a two-slot table, which strips the primes
-    below 1000 and factorizes only a rough cofactor.
+    below 1000 and factorizes only a rough cofactor. Each call passes the
+    walk a fresh two-slot flag table, since the walk marks slot 1 when it
+    passes 1.
     """
     need_int(start, 1, "aliquot sequences start at an integer of 1 or above")
     need_int(max_steps, 1, "max_steps must be at least 1")
     need_int(ceiling, start, "ceiling must not be below the starting value")
     trajectory, outcome, entry = _walk(
-        start, max_steps, ceiling, _UNIT_TABLE, _NO_STOPS, frozenset(), {}
+        start, max_steps, ceiling, _UNIT_TABLE, bytearray(2), frozenset(), {}
     )
     fixed = trajectory[-1] if outcome is AliquotOutcome.FIXED_POINT else None
     cycle = None if entry is None else tuple(trajectory[entry:])
@@ -165,17 +183,21 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
     VerificationFailed if that fails. Output is sorted, hence deterministic.
 
     Walks stop at values whose end is already known. A flag per table slot
-    marks them in the table, and a set holds them past it: a flagged start is
-    skipped, a walk stops at a flagged value or one in the set, and every walk
-    that does not run out of steps flags the in-table members of its path and
-    adds the others to the set. The trajectory of such a value reaches 0 or a
-    perfect number, enters a cycle already found, or passes 64 * limit before
-    any repeat; a repeat through the new walk's own prefix would have closed
-    the earlier walk first. So a walk that reaches a known value cannot add a
-    cycle, whatever its step budget. A walk that ran out of steps proves
-    nothing about other budgets, so its values stay unknown. Most starts
-    settle in one step: when s(start) is already known, the start is flagged
-    at once, as the walk would do after returning [start] with outcome None.
+    marks them in the table with 1, and a set holds them past it: a flagged
+    start is skipped, a walk stops at a value flagged 1 or one in the set,
+    and every walk that does not run out of steps flags the in-table members
+    of its path 1 and adds the others to the set. While it runs, a walk flags
+    its own in-table values 2, so a repeat among them shows in the same
+    table; after it, its 2s become 1s, or 0s if it ran out of steps, so
+    between walks every flag is 0 or 1. The trajectory of a known value
+    reaches 0 or a perfect number, enters a cycle already found, or passes
+    64 * limit before any repeat; a repeat through the new walk's own prefix
+    would have closed the earlier walk first. So a walk that reaches a known
+    value cannot add a cycle, whatever its step budget. A walk that ran out
+    of steps proves nothing about other budgets, so its values stay unknown.
+    Most starts settle in one step: when s(start) is already known, the start
+    is flagged at once, as the walk would do after returning [start] with
+    outcome None.
 
     A walk that ran out of steps still leaves facts behind: each of its
     values past the table, but its last, is mapped to the next value on its
@@ -206,6 +228,9 @@ def find_cycles(limit: int, max_len: int) -> list[SociableCycle]:
             # a fixed point has no entry, so the cycle has at least two members
             found.add(_canonical(path[entry:]))
         if outcome is AliquotOutcome.STEPS_EXHAUSTED:
+            for value in path:
+                if value <= limit:
+                    dead[value] = 0
             # the last value's successor was never computed
             for value, successor in zip(path, path[1:]):
                 if value > limit:

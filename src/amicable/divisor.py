@@ -3,12 +3,14 @@
 Three routes to the divisor sum are kept side by side on purpose: `sigma`
 multiplies geometric-series terms off the factorization, `sigma_brute`
 enumerates divisors directly, and `build_sieve` tabulates s(n) for a whole
-range. The sieve fills a stdlib `array('I')` by a least-prime-factor
-recurrence, each n from n // p for its least prime factor p, or, when the
-caller asks for one and numpy imports, a uint32 numpy array by adding divisor
-pairs d + n // d over cache-sized segments; only the pair searches ask, so
-only they import numpy. Either storage holds 4 bytes per entry, which Robin's
-bound keeps exact within the sieve budget. `SieveTable.s`, the s-value engine
+range. The sieve fills a stdlib `array('I')`, its odd slots by a
+least-prime-factor recurrence, each odd n from n // p for its least prime
+factor p, and its even slots 2**a * m from the odd slots m by one `map`
+pipeline per power of 2, or, when the caller asks for one and numpy imports,
+a uint32 numpy array by adding divisor pairs d + n // d over cache-sized
+segments; only the pair searches ask, so only they import numpy. Either
+storage holds 4 bytes per entry, which Robin's bound keeps exact within the
+sieve budget. `SieveTable.s`, the s-value engine
 of `find_cycles`, `aliquot_sequence` and the `array('I')` search scan, extends
 a table past its limit by splitting n into its power of 2, an odd part made of
 the primes below 1000 (found by gcds with their product) and a rough rest,
@@ -35,7 +37,9 @@ from __future__ import annotations
 from array import array as pyarray
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from math import gcd, isqrt, prod
+from operator import add, mul
 
 from .errors import BadParameter, LimitTooLarge, ZeroInput, need_int
 from .numeric import _TRIAL_PRIMES, _sieve_primes, _split_rough, factorize
@@ -189,15 +193,22 @@ class SieveTable:
 def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
     """Tabulate s(n) for all n <= limit, 4 bytes per entry in either storage.
 
-    The stdlib table is two passes over one `array('I')`. The first
-    writes p into the slots p*p, p*p + p, ... for the primes p up to
-    sqrt(limit), largest first, so every composite slot ends up holding its
-    least prime factor and a prime's slot keeps 0. The second runs n upwards:
-    with p the least prime factor of n and m = n // p, sigma(n) is
-    (p + 1) * sigma(m), minus p * sigma(m // p) when p divides m, so s(n)
-    is (p + 1) * s(m) + m, or (p + 1) * s(m) - p * s(m // p); both slots are
-    below n and already final. A prime gets s = 1, and slots 0 and 1 hold 0.
-    Each slot holds s(n) < 2**32, by Robin's bound within the default budget.
+    The stdlib table is filled in one `array('I')`, odd slots first. A
+    first pass writes p into the odd slots p*p, p*p + 2p, ... for the odd
+    primes p up to sqrt(limit), largest first, so every odd composite slot
+    ends up holding its least prime factor and an odd prime's slot keeps 0.
+    The second runs the odd n upwards: with p the least prime factor of n
+    and m = n // p, sigma(n) is (p + 1) * sigma(m), minus p * sigma(m // p)
+    when p divides m, so s(n) is (p + 1) * s(m) + m, or
+    (p + 1) * s(m) - p * s(m // p); both slots are odd, below n and already
+    final. An odd prime gets s = 1, and slots 0 and 1 hold 0. Then each even
+    n = 2**a * m, m odd, comes from the odd slot m, since sigma(2**a) =
+    2**(a + 1) - 1 is coprime to m: s(n) = sigma(2**a) * s(m) +
+    (sigma(2**a) - 2**a) * m. One pipeline of `map` calls per a fills the
+    slots 2**a, 3 * 2**a, ... from a copy of the odd slots they read, so no
+    Python-level loop visits an even slot; the largest copy and its result
+    are a quarter of the table each. Each slot holds s(n) < 2**32, by
+    Robin's bound within the default budget.
 
     With `array=True` the table is a uint32 numpy array filled by divisor
     pairs in `_array_sieve`, or the `array('I')` above when numpy does not
@@ -223,10 +234,10 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
         else:
             return SieveTable(_array_sieve(numpy, limit))
     s = pyarray(_TYPECODE, [0]) * (limit + 1)
-    for p in reversed(_sieve_primes(isqrt(limit))):
-        s[p * p :: p] = pyarray(_TYPECODE, [p]) * ((limit - p * p) // p + 1)
-    # Slots below n hold s, slots from n up their least prime factor (0 at a prime).
-    for n in range(2, limit + 1):
+    for p in reversed(_sieve_primes(isqrt(limit))[1:]):
+        s[p * p :: 2 * p] = pyarray(_TYPECODE, [p]) * ((limit - p * p) // (2 * p) + 1)
+    # Odd slots below n hold s, odd slots from n up their least prime factor (0 at a prime).
+    for n in range(3, limit + 1, 2):
         p = s[n]
         if p:
             m = n // p
@@ -236,6 +247,14 @@ def build_sieve(limit: int, *, array: bool = False) -> SieveTable:
                 s[n] = (p + 1) * s[m] - p * s[m // p]
         else:
             s[n] = 1
+    two = 2
+    while two <= limit:
+        # the odd m with two * m <= limit are 1, 3, ..., 2 * count - 1
+        count = (limit // two + 1) // 2
+        sig, k = 2 * two - 1, two - 1
+        terms = map(mul, repeat(sig, count), s[1 : 2 * count : 2])
+        s[two :: 2 * two] = pyarray(_TYPECODE, map(add, terms, range(k, 2 * k * count, 2 * k)))
+        two *= 2
     return SieveTable(s)
 
 

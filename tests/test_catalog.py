@@ -6,7 +6,6 @@ import random
 import pytest
 
 from amicable import (
-    AliquotOutcome,
     AliquotResult,
     EntryKind,
     KnownEntry,

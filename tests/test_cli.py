@@ -12,8 +12,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 import amicable.numeric
 from amicable.cli import run
 

@@ -31,6 +31,13 @@ def test_aliquot_prime_goes_to_zero_in_two_steps():
     assert r.outcome is AliquotOutcome.REACHED_ZERO
 
 
+def test_aliquot_sequence_keeps_no_state_between_calls():
+    # the walk flags slot 1 of its two-slot flag table when it passes 1; a table shared
+    # across calls would read that flag as a repeat on the next walk through 1
+    aliquot_sequence(1)
+    assert aliquot_sequence(97).trajectory == (97, 1, 0)
+
+
 def test_aliquot_fixed_point():
     r = aliquot_sequence(6)
     assert r.outcome is AliquotOutcome.FIXED_POINT

@@ -169,9 +169,20 @@ def test_build_sieve_equals_additive_sieve_at_2e5():
     assert build_sieve(200_000).s_values.tolist() == additive_sieve(200_000)
 
 
+def test_stdlib_table_at_each_pipeline_level_edge():
+    # the even slots 2**a * m are filled from the odd slots by one pipeline per a, so
+    # each power of two starts one more level, and at 2**k that level holds one slot
+    limits = [*range(1, 301), *(2**k + d for k in range(2, 18) for d in (-1, 0, 1))]
+    expected = [0] + [sigma_brute(n) - n for n in range(1, max(limits) + 1)]
+    for limit in limits:
+        assert build_sieve(limit).s_values.tolist() == expected[: limit + 1], limit
+
+
 def test_build_sieve_fills_one_array_in_place():
-    # the least-prime-factor pass and the s pass share the table's one array; a second
-    # whole-table array (of factors or of sigma) would lift the peak to 2x or more
+    # the least-prime-factor pass and the odd s pass share the table's one array, and
+    # each even level holds a copy of the odd slots it reads and its result, a quarter
+    # of the table each at most; a second whole-table array (of factors or of sigma)
+    # would lift the peak to 2x or more
     tracemalloc.start()
     try:
         s_values = build_sieve(200_000).s_values
