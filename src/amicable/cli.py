@@ -19,16 +19,9 @@ from .generators import borho_candidate, euler_candidate, thabit_candidate
 from .pairs import PairKind, audit, check_amicable, check_betrothed, search_amicable, search_betrothed
 
 
-def _nat(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
-    return value
-
-
 def _member_list(text: str) -> list[int]:
     try:
-        return [_nat(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers")
 
@@ -57,31 +50,31 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("sigma", _cmd_divisor_sum, [common], "divisor sum of N")
-    p.add_argument("n", type=_nat)
+    p.add_argument("n", type=int)
 
     p = command("s", _cmd_divisor_sum, [common], "proper-divisor sum of N")
-    p.add_argument("n", type=_nat)
+    p.add_argument("n", type=int)
 
     p = command("classify", _cmd_classify, [common], "deficient, perfect, or abundant")
-    p.add_argument("n", type=_nat)
+    p.add_argument("n", type=int)
 
     p = command("check-pair", _cmd_check_pair, [common], "test a pair of numbers")
-    p.add_argument("m", type=_nat)
-    p.add_argument("n", type=_nat)
+    p.add_argument("m", type=int)
+    p.add_argument("n", type=int)
     p.add_argument("--betrothed", action="store_true", help="test the betrothed condition")
 
     p = command("search", _cmd_search, [common], "find all pairs up to a limit")
-    p.add_argument("--max", type=_nat, required=True, dest="limit")
+    p.add_argument("--max", type=int, required=True, dest="limit")
     p.add_argument("--betrothed", action="store_true", help="search betrothed pairs")
 
     p = command("aliquot", _cmd_aliquot, [common], "iterate the aliquot sequence")
-    p.add_argument("n", type=_nat)
-    p.add_argument("--max-steps", type=_nat, default=100)
-    p.add_argument("--ceiling", type=_nat, default=10**15)
+    p.add_argument("n", type=int)
+    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--ceiling", type=int, default=10**15)
 
     p = command("cycles", _cmd_cycles, [common], "search sociable cycles")
-    p.add_argument("--max", type=_nat, required=True, dest="limit")
-    p.add_argument("--max-len", type=_nat, required=True)
+    p.add_argument("--max", type=int, required=True, dest="limit")
+    p.add_argument("--max-len", type=int, required=True)
 
     p = command("cycle-verify", _cmd_cycle_verify, [common], "verify a claimed cycle")
     p.add_argument("members", type=_member_list, help="comma-separated members, in order")
@@ -93,22 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = rule.add_parser("thabit", parents=[common], help="doubling rule")
     pick = g.add_mutually_exclusive_group(required=True)
-    pick.add_argument("--k", type=_nat)
-    pick.add_argument("--k-max", type=_nat)
+    pick.add_argument("--k", type=int)
+    pick.add_argument("--k-max", type=int)
 
     g = rule.add_parser("euler", parents=[common], help="two-exponent rule")
-    g.add_argument("--m", type=_nat, required=True)
-    g.add_argument("--n", type=_nat, required=True)
+    g.add_argument("--m", type=int, required=True)
+    g.add_argument("--n", type=int, required=True)
 
     g = rule.add_parser("borho", parents=[common], help="breeder construction")
-    g.add_argument("--a", type=_nat, required=True)
-    g.add_argument("--u", type=_nat, required=True)
-    g.add_argument("--n", type=_nat, required=True)
+    g.add_argument("--a", type=int, required=True)
+    g.add_argument("--u", type=int, required=True)
+    g.add_argument("--n", type=int, required=True)
 
     command("verify-known", _cmd_verify_known, [common], "re-verify the built-in catalog")
 
     p = command("audit", _cmd_audit, [common], "search then audit parity and gcds")
-    p.add_argument("--max", type=_nat, required=True, dest="limit")
+    p.add_argument("--max", type=int, required=True, dest="limit")
 
     return parser
 

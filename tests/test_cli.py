@@ -152,15 +152,20 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_domain_errors_exit_two_with_message(capsys):
-    code, _, err = invoke(capsys, "search", "--max", "1")
-    assert code == 2
-    assert err == "error: search limit must be at least 2\n"
-    code, _, err = invoke(capsys, "aliquot", "0")
-    assert code == 2
-    assert err.startswith("error:")
-    code, _, err = invoke(capsys, "generate", "thabit", "--k", "0")
-    assert code == 2
-    assert err.startswith("error:")
+    # argparse takes any integer, so a negative one meets the library's gate too
+    for argv, err in (
+        (["search", "--max", "1"], "search limit must be at least 2"),
+        (["aliquot", "0"], "aliquot sequences start at an integer of 1 or above"),
+        (["generate", "thabit", "--k", "0"], "the doubling rule needs k >= 1"),
+        (["generate", "euler", "--m", "3", "--n", "3"], "Euler's rule needs m < n"),
+        (["sigma", "-5"], "sigma expects a nonnegative integer"),
+        (["check-pair", "-5", "3"], "sigma expects a nonnegative integer"),
+        (["search", "--max", "-5"], "search limit must be at least 2"),
+        (["aliquot", "5", "--max-steps", "-1"], "max_steps must be at least 1"),
+        (["cycle-verify", "5,-1"], "verify_cycle expects nonnegative integer members"),
+        (["generate", "thabit", "--k-max", "-3"], "the doubling rule needs k >= 1"),
+    ):
+        assert invoke(capsys, *argv) == (2, "", f"error: {err}\n"), argv
 
 
 def test_rho_budget_overrun_exits_two_and_names_the_number(capsys, monkeypatch):

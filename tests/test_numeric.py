@@ -426,5 +426,7 @@ def test_factorize_matches_factorint_on_the_rules_cofactor_shape(start, j):
     p = sympy.nextprime(start)
     while p.bit_length() > 32 and not sympy.isprime(2**j * (p + 1) - 1):
         p = sympy.nextprime(p)
-    n = p * (2**j * (p + 1) - 1)
-    assert dict(factorize(n).factors) == sympy.factorint(n)
+    q = 2**j * (p + 1) - 1
+    # p does not divide q, since q = 2**j - 1 (mod p) and 0 < 2**j - 1 < 2**16 < p,
+    # so the factorization of p * q is p beside that of q
+    assert dict(factorize(p * q).factors) == {p: 1, **sympy.factorint(q)}

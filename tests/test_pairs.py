@@ -117,17 +117,6 @@ def test_is_amicable_number():
     assert is_amicable_number(12) is None
 
 
-def test_search_amicable_frozen_small_limits():
-    assert search_amicable(200).pairs == ()
-    assert search_amicable(300).pairs == ((220, 284),)
-    assert search_amicable(1300).pairs == ((220, 284), (1184, 1210))
-
-
-def test_search_amicable_finds_partner_beyond_limit():
-    # 220 <= limit < 284: the partner lies past the limit and is still found
-    assert search_amicable(250).pairs == ((220, 284),)
-
-
 def test_search_amicable_all_even_true_below_12285():
     report = search_amicable(11_000)
     assert report.all_even is True
@@ -135,9 +124,22 @@ def test_search_amicable_all_even_true_below_12285():
 
 
 def test_search_matches_enumeration_and_reports_the_sieve():
-    report = search_amicable(2500)
-    assert list(report.pairs) == enumerate_pairs(2500, 0)
-    assert report.oracle is Oracle.SIEVE
+    for search, limit, shift in ((search_amicable, 2500, 0), (search_betrothed, 1200, 1)):
+        report = search(limit)
+        assert list(report.pairs) == enumerate_pairs(limit, shift), search.__name__
+        assert report.oracle is Oracle.SIEVE
+
+
+@pytest.mark.parametrize("search", [search_amicable, search_betrothed])
+def test_search_finds_the_frozen_pairs_below_each_limit(search):
+    # 2 and 20000, where the frozen pairs end; each smaller member m and m - 1, the
+    # first limit that admits its pair and the last that does not; each larger member
+    # n less 1, so n is the first slot past the table; and some limits between pairs
+    frozen = PAIRS_AT_20000[search]
+    limits = {2, 20_000, 40, 100, 200, 250, 300, 500, 1200, 1300, 2100}
+    limits.update(x for m, n in frozen for x in (m - 1, m, min(n - 1, 20_000)))
+    for limit in sorted(limits):
+        assert search(limit).pairs == tuple(p for p in frozen if p[0] <= limit), limit
 
 
 def test_search_parallel_matches_serial():
@@ -146,27 +148,8 @@ def test_search_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_search_betrothed_frozen_limits():
-    assert search_betrothed(40).pairs == ()
-    assert search_betrothed(100).pairs == ((48, 75),)
-    assert search_betrothed(200).pairs == ((48, 75), (140, 195))
-    assert search_betrothed(2100).pairs == (
-        (48, 75),
-        (140, 195),
-        (1050, 1925),
-        (1575, 1648),
-        (2024, 2295),
-    )
-
-
-def test_search_betrothed_completeness_against_double_loop():
-    assert list(search_betrothed(1200).pairs) == enumerate_pairs(1200, 1)
-
-
-def test_search_betrothed_matches_enumeration_and_takes_no_pool_arguments():
-    expected = enumerate_pairs(500, 1)
-    assert list(search_betrothed(500).pairs) == expected
-    # the betrothed search has no pool: only search_amicable takes parallel
+def test_search_betrothed_takes_no_pool_arguments():
+    # only search_amicable takes parallel
     for kwargs in ({"parallel": True}, {"workers": 2}):
         with pytest.raises(TypeError):
             search_betrothed(100, **kwargs)
