@@ -69,6 +69,19 @@ def test_aliquot_trajectory_links():
         assert aliquot_s(a) == b
 
 
+def test_aliquot_steps_exhausted():
+    r = aliquot_sequence(30, max_steps=3)
+    assert r.outcome is AliquotOutcome.STEPS_EXHAUSTED
+    assert r.trajectory == (30, 42, 54, 66)
+
+
+def test_aliquot_ceiling_exceeded():
+    r = aliquot_sequence(30, max_steps=50, ceiling=100)
+    assert r.outcome is AliquotOutcome.CEILING_EXCEEDED
+    # the offending value is kept as the last entry
+    assert r.trajectory == (30, 42, 54, 66, 78, 90, 144)
+
+
 def sequence_by_aliquot_s(start, steps, ceiling):
     # the AliquotResult conventions, with every step computed from the factorization
     trajectory = [start]
@@ -112,7 +125,7 @@ SEMIPRIME = 4294967311 * 4294967357  # the two least primes above 2**32
 EXPLICIT_WALKS = [
     (6, 5, 6),
     (12496, 40, 10**15),
-    (30, 50, 100),  # the value past the ceiling, 144, is kept as the last entry
+    (30, 50, 100),
     (30, 50, 144),  # 144 is on the trajectory, and a value equal to the ceiling is allowed
     (30, 3, 10**15),
     (2**64 + 13, 40, 2**64 + 13),
@@ -162,6 +175,23 @@ def test_verify_cycle_refuses_a_negative_or_float_member_or_a_bare_value(members
         verify_cycle(members)
 
 
+def test_find_cycles_frozen_examples():
+    assert find_cycles(100, 5) == []
+    cycles = find_cycles(300, 2)
+    assert [c.members for c in cycles] == [(220, 284)]
+    assert cycles[0].length == 2
+
+
+def test_find_cycles_canonical_and_deterministic():
+    first = find_cycles(1300, 2)
+    second = find_cycles(1300, 2)
+    assert first == second
+    for c in first:
+        assert c.members[0] == min(c.members)
+        assert c.length == len(c.members)
+        assert verify_cycle(c.members).ok
+
+
 def cycles_by_aliquot_s(limit, max_len):
     # the walk of find_cycles with every step computed from the factorization
     found = set()
@@ -183,10 +213,14 @@ def cycles_by_aliquot_s(limit, max_len):
     return sorted(found)
 
 
-# the first four examples hold no cycle, the pair (220, 284) alone, both pairs
-# below 1300, and the ten cycles below 20000, Poulet's 5-cycle and 28-cycle among
-# them. Walks that run out of steps must not mark their values: if they did, the
-# next three examples would lose (1184, 1210), then (2620, 2924), then Poulet's
+def test_find_cycles_matches_walk_by_aliquot_s():
+    cycles = find_cycles(20_000, 30)
+    assert [c.members for c in cycles] == cycles_by_aliquot_s(20_000, 30)
+    assert len(cycles) == 10
+
+
+# walks that run out of steps must not mark their values: if they did, the
+# first three examples would lose (1184, 1210), then (2620, 2924), then Poulet's
 # 5-cycle. At the small limits below them most values lie past the table, so
 # the set of known values there and the one-step settling of starts do most of
 # the stopping: (250, 30) loses (220, 284) if a start settles on any successor
@@ -194,10 +228,6 @@ def cycles_by_aliquot_s(limit, max_len):
 # of walks that ran out of steps
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 3000), st.integers(2, 40))
-@example(100, 5)
-@example(300, 2)
-@example(1300, 2)
-@example(20_000, 30)
 @example(1500, 2)
 @example(3000, 3)
 @example(13_000, 5)
@@ -206,9 +236,7 @@ def cycles_by_aliquot_s(limit, max_len):
 @example(300, 40)
 @example(1190, 3)
 def test_find_cycles_matches_walk_by_aliquot_s_on_drawn_bounds(limit, max_len):
-    cycles = find_cycles(limit, max_len)
-    assert [c.members for c in cycles] == cycles_by_aliquot_s(limit, max_len)
-    assert all(c.length == len(c.members) for c in cycles)
+    assert [c.members for c in find_cycles(limit, max_len)] == cycles_by_aliquot_s(limit, max_len)
 
 
 def test_find_cycles_stops_at_values_with_known_end(monkeypatch):

@@ -1,6 +1,5 @@
 """Divisor engine: sigma, the aliquot map, sieving, classification."""
 
-import importlib.util
 import tracemalloc
 from math import isqrt
 
@@ -25,10 +24,6 @@ from amicable import (
     search_amicable,
     sigma,
     sigma_brute,
-)
-
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None, reason="numpy is not installed"
 )
 
 
@@ -84,6 +79,23 @@ def test_aliquot_conventions():
     assert aliquot_s(12) == 16
 
 
+def test_build_sieve_values(reference_s):
+    table = build_sieve(300)
+    assert table.limit == 300
+    assert len(table.s_values) == 301
+    assert table.s_values[0] == 0
+    assert table.s_values[1] == 0
+    assert table.s_values[220] == 284
+    assert table.s_values[284] == 220
+    assert table.s_values[6] == 6
+    assert table.s_values.tolist() == reference_s[:301]
+
+
+def test_build_sieve_limit_one():
+    table = build_sieve(1)
+    assert table.s_values.tolist() == [0, 0]
+
+
 def refused_before_allocating(call, match=None):
     # the cap is checked first: a 4-byte table at the cap would take 3.5 GiB
     tracemalloc.start()
@@ -94,6 +106,14 @@ def refused_before_allocating(call, match=None):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_build_sieve_rejects_bad_limits():
+    # the cap holds for both storages
+    for array in (False, True):
+        refused_before_allocating(lambda: build_sieve(932_277_513, array=array))
+    with pytest.raises(TypeError):
+        build_sieve(10_000, 1000)  # the budget is not an argument
 
 
 def robin_s_bound(n):
@@ -118,8 +138,6 @@ def test_a_limit_past_the_exactness_cap_is_refused_before_allocating(array):
         lambda: build_sieve(932_277_513, array=array),
         match="932277514 entries exceeds the budget of 932277513, the exactness cap of 4-byte entries$",
     )
-    with pytest.raises(TypeError):
-        build_sieve(10_000, 1000)  # the budget is not an argument
 
 
 @pytest.mark.parametrize("array", [False, True])
@@ -140,28 +158,29 @@ def additive_sieve(limit):
     return s_values
 
 
-REFERENCE_LIMIT = 200_000
-# every limit to 300; each power of two and its neighbours, since at 2**k the stdlib
-# fill starts a level of even slots 2**k * m that holds one slot; each square p*p and
-# its neighbours, since p*p is the first limit whose numpy fill takes d = p, for its
-# square alone, as p*(p + 1) lies past it
-TABLE_LIMITS = sorted({
-    *range(1, 301),
-    *(2**k + d for k in range(2, 18) for d in (-1, 0, 1)),
-    *(p * p + d for p in (2, 3, 5, 7, 31, 211) for d in (-1, 0, 1)),
-    REFERENCE_LIMIT,
-})
-
-
 @pytest.fixture(scope="module")
 def reference_s():
-    return additive_sieve(REFERENCE_LIMIT)
+    # one additive sieve to 200000, whose prefixes are the tables of every limit below
+    return additive_sieve(200_000)
 
 
-@pytest.mark.parametrize("array", [False, pytest.param(True, marks=needs_numpy)])
-def test_build_sieve_equals_additive_sieve(reference_s, array):
-    for limit in TABLE_LIMITS:
-        assert build_sieve(limit, array=array).s_values.tolist() == reference_s[: limit + 1], limit
+def assert_tables_match(reference_s, limits):
+    for limit in limits:
+        assert build_sieve(limit).s_values.tolist() == reference_s[: limit + 1], limit
+
+
+def test_build_sieve_equals_additive_sieve_small_limits(reference_s):
+    assert_tables_match(reference_s, range(1, 301))
+
+
+def test_build_sieve_equals_additive_sieve_at_2e5(reference_s):
+    assert_tables_match(reference_s, [200_000])
+
+
+def test_stdlib_table_at_each_pipeline_level_edge(reference_s):
+    # the even slots 2**a * m are filled from the odd slots by one pipeline per a, so
+    # each power of two starts one more level, and at 2**k that level holds one slot
+    assert_tables_match(reference_s, (2**k + d for k in range(2, 18) for d in (-1, 0, 1)))
 
 
 def test_build_sieve_fills_one_array_in_place():

@@ -1,12 +1,10 @@
 """The two table storages: the uint32 numpy sieve against the stdlib
-`array('I')` sieve on drawn limits and at segment edges, both against the
-bytes of the int64 tables they replaced, which storage the pair searches scan,
-the array kernel that settles the numpy scan's partners past the table against
-`SieveTable.s`, the type of a table lookup on either, the code paths that must
-never import numpy, and the search pool under the spawn and forkserver start
-methods. Both storages are checked against an additive sieve at fixed limits,
-every one to 300 and each edge of the two fills, in test_divisor.py; that
-every engine gives the same search report is checked in test_pairs.py.
+`array('I')` sieve, both against the bytes of the int64 tables they replaced,
+which storage the pair searches scan, the array kernel that settles the numpy
+scan's partners past the table against `SieveTable.s`, the type of a table
+lookup on either, the code paths that must never import numpy, and the
+search pool under the spawn and forkserver start methods. That every engine
+gives the same search report is checked in test_pairs.py.
 
 Tests of the numpy kernel skip when numpy is not installed; the stdlib-engine
 checks run either way.
@@ -49,6 +47,24 @@ needs_numpy = pytest.mark.skipif(
 @given(st.integers(1, 5000))
 def test_array_sieve_equals_stdlib_sieve(limit):
     assert build_sieve(limit, array=True).s_values.tolist() == build_sieve(limit).s_values.tolist()
+
+
+@needs_numpy
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 211])
+def test_array_sieve_at_the_square_root_boundary(p):
+    # the array fill adds d at the square d*d and d + k at each d*k, k > d, for d
+    # up to isqrt(limit); a limit at p*p is the first whose fill takes d = p, for
+    # its square alone, since p*(p + 1) lies past it
+    for limit in (p * p - 1, p * p, p * p + 1):
+        expected = build_sieve(limit).s_values.tolist()
+        assert build_sieve(limit, array=True).s_values.tolist() == expected
+
+
+@needs_numpy
+def test_array_sieve_equals_stdlib_sieve_at_2e5():
+    table = build_sieve(200_000, array=True)
+    assert table.s_values.dtype.name == "uint32"
+    assert table.s_values.tolist() == build_sieve(200_000).s_values.tolist()
 
 
 @needs_numpy
